@@ -224,8 +224,9 @@ def apply_measurement(m: GeneralizedMeasurement, rho: np.ndarray) -> Ensemble:
     return make_ensemble(pairs)
 
 
-def _lifted(m: GeneralizedMeasurement) -> GeneralizedMeasurement:
-    eye = np.eye(m.dim)
+def _lifted(m: GeneralizedMeasurement, a_dim: int) -> GeneralizedMeasurement:
+    """``m`` acting on the system half of ancilla (dim ``a_dim``) ⊗ system."""
+    eye = np.eye(a_dim)
     return make_measurement(
         [(w, [np.kron(eye, k) for k in kraus]) for w, kraus in m.outcomes]
     )
@@ -241,27 +242,34 @@ def jamiolkowski_ensemble(m: GeneralizedMeasurement) -> ChoiEnsemble:
     d = m.dim
     phi = np.zeros(d * d, dtype=complex)
     phi[:: d + 1] = 1.0 / np.sqrt(d)
-    ens = apply_measurement(_lifted(m), np.outer(phi, phi.conj()))
+    ens = apply_measurement(_lifted(m, d), np.outer(phi, phi.conj()))
     marg = partial_trace(average_state(ens), (d, d), "A")
     if float(np.linalg.norm(marg - np.eye(d) / d)) > MARGINAL_TOL:
         raise InvalidMeasurement("average Choi state has a skewed untouched marginal")
     return ChoiEnsemble(ens, d)
 
 
-def _ensemble_distance(a: Ensemble, b: Ensemble, method: str, opts) -> float:
+def _ensemble_measure(a: Ensemble, b: Ensemble, kind: str, method: str, opts) -> float:
+    """Ensemble distance or fidelity (``kind``) by the named method."""
     if method == "kantorovich":
-        return kantorovich_distance(a, b)[0]
+        measure = kantorovich_distance if kind == "distance" else kantorovich_fidelity
+        return measure(a, b)[0]
     if method == "ehs":
-        return ehs_distance(a, b, opts).value
+        measure = ehs_distance if kind == "distance" else ehs_fidelity
+        return measure(a, b, opts).value
     raise InvalidParams(f"unknown method {method!r}")
 
 
-def _ensemble_fidelity(a: Ensemble, b: Ensemble, method: str, opts) -> float:
-    if method == "kantorovich":
-        return kantorovich_fidelity(a, b)[0]
-    if method == "ehs":
-        return ehs_fidelity(a, b, opts).value
-    raise InvalidParams(f"unknown method {method!r}")
+def _check_dims(x, y) -> None:
+    if x.dim != y.dim:
+        raise DimMismatch(f"dims {x.dim} and {y.dim} differ")
+
+
+def _iso(m, n, kind: str, method: str, opts) -> float:
+    _check_dims(m, n)
+    return _ensemble_measure(
+        jamiolkowski_ensemble(m).ensemble, jamiolkowski_ensemble(n).ensemble, kind, method, opts
+    )
 
 
 def dist_iso(
@@ -271,11 +279,7 @@ def dist_iso(
     opts: SolverOptions | None = None,
 ) -> float:
     """Ensemble distance between the Choi ensembles of two measurements."""
-    if m.dim != n.dim:
-        raise DimMismatch(f"dims {m.dim} and {n.dim} differ")
-    return _ensemble_distance(
-        jamiolkowski_ensemble(m).ensemble, jamiolkowski_ensemble(n).ensemble, method, opts
-    )
+    return _iso(m, n, "distance", method, opts)
 
 
 def fid_iso(
@@ -285,11 +289,13 @@ def fid_iso(
     opts: SolverOptions | None = None,
 ) -> float:
     """Ensemble fidelity between the Choi ensembles of two measurements."""
-    if m.dim != n.dim:
-        raise DimMismatch(f"dims {m.dim} and {n.dim} differ")
-    return _ensemble_fidelity(
-        jamiolkowski_ensemble(m).ensemble, jamiolkowski_ensemble(n).ensemble, method, opts
-    )
+    return _iso(m, n, "fidelity", method, opts)
+
+
+# Central-difference step and the tangent-gradient norm at which an ascent
+# from one start stops.
+FD_STEP = 1e-5
+GRAD_NORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -298,8 +304,6 @@ class WorstCaseOptions:
 
     restarts: int = 32
     max_steps: int = 500
-    fd_step: float = 1e-5
-    grad_norm_tol: float = 1e-6
     seed: int = 0
 
 
@@ -337,11 +341,11 @@ def _sphere_search(score, dim: int, wopts: WorstCaseOptions, starts_extra):
             grad = np.zeros_like(x)
             for k in range(2 * dim):
                 e = np.zeros_like(x)
-                e[k] = wopts.fd_step
-                grad[k] = (value(x + e) - value(x - e)) / (2.0 * wopts.fd_step)
+                e[k] = FD_STEP
+                grad[k] = (value(x + e) - value(x - e)) / (2.0 * FD_STEP)
             grad -= (grad @ x) * x  # tangent component on the unit sphere
             gn = float(np.linalg.norm(grad))
-            if gn <= wopts.grad_norm_tol:
+            if gn <= GRAD_NORM_TOL:
                 break
             step = 0.5
             moved = False
@@ -359,15 +363,28 @@ def _sphere_search(score, dim: int, wopts: WorstCaseOptions, starts_extra):
     return best_val, best_psi
 
 
-def _pure_output_pair(m, n, psi, a_dim):
-    rho = np.outer(psi, psi.conj())
-    lifted_m = make_measurement(
-        [(w, [np.kron(np.eye(a_dim), k) for k in kraus]) for w, kraus in m.outcomes]
-    )
-    lifted_n = make_measurement(
-        [(w, [np.kron(np.eye(a_dim), k) for k in kraus]) for w, kraus in n.outcomes]
-    )
-    return apply_measurement(lifted_m, rho), apply_measurement(lifted_n, rho)
+def _worst_case(m, n, kind: str, method: str, opts, wopts, ancilla_dim):
+    """Ascent of the distance, or descent of the fidelity, over pure inputs."""
+    _check_dims(m, n)
+    wopts = WorstCaseOptions() if wopts is None else wopts
+    a_dim = m.dim if ancilla_dim is None else int(ancilla_dim)
+    if a_dim < 1:
+        raise InvalidParams(f"ancilla dimension {a_dim}")
+    d = m.dim
+    sign = 1.0 if kind == "distance" else -1.0
+    lifted_m, lifted_n = _lifted(m, a_dim), _lifted(n, a_dim)
+
+    def score(psi):
+        rho = np.outer(psi, psi.conj())
+        ea, eb = apply_measurement(lifted_m, rho), apply_measurement(lifted_n, rho)
+        return sign * _ensemble_measure(ea, eb, kind, method, opts)
+
+    phi = np.zeros(a_dim * d, dtype=complex)
+    for j in range(min(a_dim, d)):
+        phi[j * d + j] = 1.0
+    phi = _unit(phi)
+    val, psi = _sphere_search(score, a_dim * d, wopts, [phi])
+    return float(sign * val), psi
 
 
 def dist_max(
@@ -385,24 +402,7 @@ def dist_max(
     starts, so the value dominates the fixed-input distance evaluated there.
     Returns ``(value, argmax state)``.
     """
-    if m.dim != n.dim:
-        raise DimMismatch(f"dims {m.dim} and {n.dim} differ")
-    wopts = WorstCaseOptions() if wopts is None else wopts
-    a_dim = m.dim if ancilla_dim is None else int(ancilla_dim)
-    if a_dim < 1:
-        raise InvalidParams(f"ancilla dimension {a_dim}")
-    d = m.dim
-
-    def score(psi):
-        ea, eb = _pure_output_pair(m, n, psi, a_dim)
-        return _ensemble_distance(ea, eb, method, opts)
-
-    phi = np.zeros(a_dim * d, dtype=complex)
-    for j in range(min(a_dim, d)):
-        phi[j * d + j] = 1.0
-    phi = _unit(phi)
-    val, psi = _sphere_search(score, a_dim * d, wopts, [phi])
-    return float(val), psi
+    return _worst_case(m, n, "distance", method, opts, wopts, ancilla_dim)
 
 
 def fid_min(
@@ -415,24 +415,7 @@ def fid_min(
 ):
     """Worst-case ensemble fidelity over pure inputs; upper bound on the
     true minimum.  Returns ``(value, argmin state)``."""
-    if m.dim != n.dim:
-        raise DimMismatch(f"dims {m.dim} and {n.dim} differ")
-    wopts = WorstCaseOptions() if wopts is None else wopts
-    a_dim = m.dim if ancilla_dim is None else int(ancilla_dim)
-    if a_dim < 1:
-        raise InvalidParams(f"ancilla dimension {a_dim}")
-    d = m.dim
-
-    def score(psi):
-        ea, eb = _pure_output_pair(m, n, psi, a_dim)
-        return -_ensemble_fidelity(ea, eb, method, opts)
-
-    phi = np.zeros(a_dim * d, dtype=complex)
-    for j in range(min(a_dim, d)):
-        phi[j * d + j] = 1.0
-    phi = _unit(phi)
-    val, psi = _sphere_search(score, a_dim * d, wopts, [phi])
-    return float(-val), psi
+    return _worst_case(m, n, "fidelity", method, opts, wopts, ancilla_dim)
 
 
 def povm_to_ensemble(p: Povm) -> Ensemble:
@@ -448,19 +431,20 @@ def povm_to_ensemble(p: Povm) -> Ensemble:
     return make_ensemble(pairs)
 
 
+def _povm(p: Povm, q: Povm, kind: str, method: str, opts) -> float:
+    _check_dims(p, q)
+    return _ensemble_measure(povm_to_ensemble(p), povm_to_ensemble(q), kind, method, opts)
+
+
 def povm_distance(
     p: Povm, q: Povm, method: str = "kantorovich", opts: SolverOptions | None = None
 ) -> float:
     """Ensemble distance between the normalized-element ensembles."""
-    if p.dim != q.dim:
-        raise DimMismatch(f"dims {p.dim} and {q.dim} differ")
-    return _ensemble_distance(povm_to_ensemble(p), povm_to_ensemble(q), method, opts)
+    return _povm(p, q, "distance", method, opts)
 
 
 def povm_fidelity(
     p: Povm, q: Povm, method: str = "kantorovich", opts: SolverOptions | None = None
 ) -> float:
     """Ensemble fidelity between the normalized-element ensembles."""
-    if p.dim != q.dim:
-        raise DimMismatch(f"dims {p.dim} and {q.dim} differ")
-    return _ensemble_fidelity(povm_to_ensemble(p), povm_to_ensemble(q), method, opts)
+    return _povm(p, q, "fidelity", method, opts)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -53,6 +54,9 @@ EXIT_DIM = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_INVALID_DEVICE = 5
 
+# subcommand or --measure value → measure kind
+KINDS = {"dist": "distance", "fid": "fidelity"}
+
 
 class ParseError(ValueError):
     """Input file rejected; the message carries the file and field path."""
@@ -61,7 +65,13 @@ class ParseError(ValueError):
 def _num(node, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ParseError(f"{path}: expected a number, got {type(node).__name__}")
-    return float(node)
+    try:
+        value = float(node)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf if node > 0 else -math.inf
+    if not math.isfinite(value):
+        raise ParseError(f"{path}: expected a finite number, got {value}")
+    return value
 
 
 def _parse_matrix(node, path: str, dim: int) -> np.ndarray:
@@ -86,7 +96,7 @@ def _header(doc, label: str) -> int:
     if version != FORMAT_VERSION:
         raise ParseError(f"{label}.version: expected {FORMAT_VERSION}, got {version!r}")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ParseError(f"{label}.dim: expected a positive integer")
     return dim
 
@@ -235,56 +245,38 @@ def _measure_report(a: Ensemble, b: Ensemble, kind: str, args, digests, measure_
     return report, code
 
 
-def cmd_dist(args) -> int:
-    (doc_a, dig_a) = _load(args.input_a)
-    (doc_b, dig_b) = _load(args.input_b)
-    a = parse_ensemble(doc_a, args.input_a)
-    b = parse_ensemble(doc_b, args.input_b)
-    if a.dim != b.dim:
-        raise DimMismatch(f"ensembles on dims {a.dim} and {b.dim}")
-    report, code = _measure_report(a, b, "distance", args, (dig_a, dig_b))
-    _emit(report)
-    return code
+def _load_pair(paths, parse, noun: str):
+    """Load and parse two input files of one format and check that their
+    dimensions match; returns both objects and the two file digests."""
+    loaded = [_load(path) for path in paths]
+    x, y = (parse(doc, path) for (doc, _), path in zip(loaded, paths))
+    if x.dim != y.dim:
+        raise DimMismatch(f"{noun} on dims {x.dim} and {y.dim}")
+    return x, y, tuple(digest for _, digest in loaded)
 
 
-def cmd_fid(args) -> int:
-    (doc_a, dig_a) = _load(args.input_a)
-    (doc_b, dig_b) = _load(args.input_b)
-    a = parse_ensemble(doc_a, args.input_a)
-    b = parse_ensemble(doc_b, args.input_b)
-    if a.dim != b.dim:
-        raise DimMismatch(f"ensembles on dims {a.dim} and {b.dim}")
-    report, code = _measure_report(a, b, "fidelity", args, (dig_a, dig_b))
+def cmd_measure(args) -> int:
+    a, b, digests = _load_pair((args.input_a, args.input_b), parse_ensemble, "ensembles")
+    report, code = _measure_report(a, b, args.kind, args, digests)
     _emit(report)
     return code
 
 
 def cmd_channel(args) -> int:
-    (doc_m, dig_m) = _load(args.input_m)
-    (doc_n, dig_n) = _load(args.input_n)
-    m = parse_measurement(doc_m, args.input_m)
-    n = parse_measurement(doc_n, args.input_n)
-    if m.dim != n.dim:
-        raise DimMismatch(f"measurements on dims {m.dim} and {n.dim}")
-    kind = "distance" if args.measure == "dist" else "fidelity"
+    m, n, digests = _load_pair((args.input_m, args.input_n), parse_measurement, "measurements")
+    kind = KINDS[args.measure]
     if args.compare == "iso":
         ea = jamiolkowski_ensemble(m).ensemble
         eb = jamiolkowski_ensemble(n).ensemble
-        name = "dist_iso" if kind == "distance" else "fid_iso"
-        report, code = _measure_report(ea, eb, kind, args, (dig_m, dig_n), name)
+        report, code = _measure_report(ea, eb, kind, args, digests, f"{args.measure}_iso")
     else:
         wopts = WorstCaseOptions(
             restarts=args.worst_restarts, max_steps=args.worst_steps, seed=args.seed
         )
-        opts = _solver_options(args)
-        if kind == "distance":
-            value, state = dist_max(m, n, args.method, opts, wopts)
-            name = "dist_max"
-        else:
-            value, state = fid_min(m, n, args.method, opts, wopts)
-            name = "fid_min"
+        name, search = ("dist_max", dist_max) if kind == "distance" else ("fid_min", fid_min)
+        value, state = search(m, n, args.method, _solver_options(args), wopts)
         report = {
-            "inputs": {"a": dig_m, "b": dig_n},
+            "inputs": {"a": digests[0], "b": digests[1]},
             "measure": name,
             "method": args.method,
             "value": _sig12(value),
@@ -302,16 +294,10 @@ def cmd_channel(args) -> int:
 
 
 def cmd_povm(args) -> int:
-    (doc_p, dig_p) = _load(args.input_p)
-    (doc_q, dig_q) = _load(args.input_q)
-    p = parse_povm(doc_p, args.input_p)
-    q = parse_povm(doc_q, args.input_q)
-    if p.dim != q.dim:
-        raise DimMismatch(f"POVMs on dims {p.dim} and {q.dim}")
-    kind = "distance" if args.measure == "dist" else "fidelity"
-    name = "povm_distance" if kind == "distance" else "povm_fidelity"
+    p, q, digests = _load_pair((args.input_p, args.input_q), parse_povm, "POVMs")
+    kind = KINDS[args.measure]
     report, code = _measure_report(
-        povm_to_ensemble(p), povm_to_ensemble(q), kind, args, (dig_p, dig_q), name
+        povm_to_ensemble(p), povm_to_ensemble(q), kind, args, digests, f"povm_{kind}"
     )
     _emit(report)
     return code
@@ -347,17 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("dist", help="ensemble distance")
-    sp.add_argument("input_a")
-    sp.add_argument("input_b")
-    _add_solver_flags(sp)
-    sp.set_defaults(func=cmd_dist)
-
-    sp = sub.add_parser("fid", help="ensemble fidelity")
-    sp.add_argument("input_a")
-    sp.add_argument("input_b")
-    _add_solver_flags(sp)
-    sp.set_defaults(func=cmd_fid)
+    for name, kind in KINDS.items():
+        sp = sub.add_parser(name, help=f"ensemble {kind}")
+        sp.add_argument("input_a")
+        sp.add_argument("input_b")
+        _add_solver_flags(sp)
+        sp.set_defaults(func=cmd_measure, kind=kind)
 
     sp = sub.add_parser("channel", help="measures between generalized measurements")
     sp.add_argument("input_m")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .ensembles import Ensemble, average_state, unify_support
 from .errors import NotPure
-from .kantorovich import kantorovich_distance, transportation_lp
+from .kantorovich import _pairwise, kantorovich_distance, transportation_lp
 from .linalg import fidelity, herm_eig, mat_sqrt_psd, trace_distance
 
 _PURITY_TOL = 1e-8
@@ -88,15 +88,6 @@ def project_rows_to_simplex(x: np.ndarray, masses: np.ndarray) -> np.ndarray:
     tau = css[np.arange(len(xs)), idx] / (idx + 1.0)
     out[pos] = np.maximum(xs - tau[:, None], 0.0)
     return out
-
-
-def _pairwise_fidelity(omega) -> np.ndarray:
-    n = len(omega)
-    w = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            w[i, j] = w[j, i] = fidelity(omega[i], omega[j])
-    return w
 
 
 class _DistanceObjective:
@@ -276,7 +267,7 @@ def ehs_fidelity(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) ->
     opts = _as_options(opts)
     sp = unify_support(a, b)
     upper = fidelity(average_state(a), average_state(b))
-    w = _pairwise_fidelity(sp.omega)
+    w = _pairwise(sp.omega, fidelity, 1.0)
     val, (pt, qt), sweeps, converged, fk = _bca(sp.p, sp.q, w, opts)
     value = float(min(max(val, 0.0), 1.0))
     return SolveReport(value, JointPair(pt, qt), sweeps, (fk, upper), converged)
@@ -336,11 +327,7 @@ def pure_ensemble_fidelity(a: Ensemble, b: Ensemble, opts: SolverOptions | None 
             raise NotPure(f"state purity {purity} below {1 - _PURITY_TOL}")
         dec = herm_eig(mat)
         vecs.append(dec.eigenvectors[:, 0])
-    n = len(vecs)
-    w = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            w[i, j] = w[j, i] = abs(np.vdot(vecs[i], vecs[j]))
+    w = _pairwise(vecs, lambda u, v: abs(np.vdot(u, v)), 1.0)
     val, _, _, _, _ = _bca(sp.p, sp.q, w, opts)
     return float(min(max(val, 0.0), 1.0))
 
@@ -361,7 +348,7 @@ def fidelity_objective(a: Ensemble, b: Ensemble) -> Callable:
     """Handle returning ``(value, grad_p, grad_q)`` of the fidelity objective
     at an interior table pair."""
     sp = unify_support(a, b)
-    w = _pairwise_fidelity(sp.omega)
+    w = _pairwise(sp.omega, fidelity, 1.0)
 
     def evaluate(ptab: np.ndarray, qtab: np.ndarray):
         ptab = np.asarray(ptab, float)

@@ -83,6 +83,8 @@ def make_ensemble(pairs: Iterable[tuple[float, np.ndarray]]) -> Ensemble:
     dim = None
     for p, mat in pairs:
         p = float(p)
+        if not np.isfinite(p):
+            raise InvalidState(f"non-finite probability {p}")
         if p < -PROB_TOL:
             raise InvalidState(f"negative probability {p}")
         if p <= 0.0:

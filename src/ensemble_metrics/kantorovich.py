@@ -191,6 +191,7 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
 
 
 def _pairwise(omega: Sequence[np.ndarray], metric: Callable, diag: float) -> np.ndarray:
+    """Symmetric matrix of ``metric`` over all pairs, ``diag`` on the diagonal."""
     n = len(omega)
     out = np.full((n, n), diag)
     for i in range(n):
@@ -207,12 +208,17 @@ def coupling_lp(a: Ensemble, b: Ensemble, kind: str = "distance") -> LpSolution:
     """
     sp = unify_support(a, b)
     if kind == "distance":
-        cost = _pairwise(sp.omega, trace_distance, 0.0)
-        return transportation_lp(sp.p, sp.q, cost, "min")
-    if kind == "fidelity":
-        cost = _pairwise(sp.omega, fidelity, 1.0)
-        return transportation_lp(sp.p, sp.q, cost, "max")
-    raise OutOfRange(f"unknown kind {kind!r}")
+        metric, diag, sense = trace_distance, 0.0, "min"
+    elif kind == "fidelity":
+        metric, diag, sense = fidelity, 1.0, "max"
+    else:
+        raise OutOfRange(f"unknown kind {kind!r}")
+    return transportation_lp(sp.p, sp.q, _pairwise(sp.omega, metric, diag), sense)
+
+
+def _coupling_value(a: Ensemble, b: Ensemble, kind: str) -> tuple[float, Coupling]:
+    sol = coupling_lp(a, b, kind)
+    return min(max(sol.value, 0.0), 1.0), sol.coupling
 
 
 def kantorovich_distance(a: Ensemble, b: Ensemble) -> tuple[float, Coupling]:
@@ -222,14 +228,12 @@ def kantorovich_distance(a: Ensemble, b: Ensemble) -> tuple[float, Coupling]:
     distance on the shared support.  Returns the value (in [0, 1]) and one
     optimal coupling.
     """
-    sol = coupling_lp(a, b, "distance")
-    return min(max(sol.value, 0.0), 1.0), sol.coupling
+    return _coupling_value(a, b, "distance")
 
 
 def kantorovich_fidelity(a: Ensemble, b: Ensemble) -> tuple[float, Coupling]:
     """Maximal expected fidelity over couplings of two ensembles."""
-    sol = coupling_lp(a, b, "fidelity")
-    return min(max(sol.value, 0.0), 1.0), sol.coupling
+    return _coupling_value(a, b, "fidelity")
 
 
 def _check_flag_lists(ps, qs):

@@ -25,6 +25,7 @@ from ensemble_metrics.errors import (
     InvalidParams,
     InvalidPovm,
 )
+from ensemble_metrics.ehs import ehs_distance, ehs_fidelity
 from ensemble_metrics.kantorovich import kantorovich_distance, kantorovich_fidelity
 from ensemble_metrics.linalg import partial_trace, tensor, trace_distance
 from ensemble_metrics.oracle import random_density, random_measurement, random_unitary
@@ -224,6 +225,37 @@ def test_dist_max_system_only_ancilla():
     assert value <= dist_max(z, x, wopts=WorstCaseOptions(restarts=2, max_steps=20))[0] + 1e-6
     with pytest.raises(InvalidParams):
         dist_max(z, x, ancilla_dim=0)
+
+
+def _direct_measure(kind, method):
+    if method == "kantorovich":
+        measure = kantorovich_distance if kind == "distance" else kantorovich_fidelity
+        return lambda a, b: measure(a, b)[0]
+    measure = ehs_distance if kind == "distance" else ehs_fidelity
+    return lambda a, b: measure(a, b).value
+
+
+@pytest.mark.parametrize("method", ["kantorovich", "ehs"])
+@pytest.mark.parametrize("kind", ["distance", "fidelity"])
+def test_device_measures_equal_direct_ensemble_measure(kind, method):
+    z, x = _z_meas(), _x_meas()
+    pz = make_povm([np.outer(E0, E0), np.outer(E1, E1)])
+    px = make_povm([np.outer(PLUS_V, PLUS_V), np.outer(MINUS_V, MINUS_V)])
+    direct = _direct_measure(kind, method)
+    iso, povm, worst = (
+        (dist_iso, povm_distance, dist_max) if kind == "distance" else (fid_iso, povm_fidelity, fid_min)
+    )
+    choi_z, choi_x = jamiolkowski_ensemble(z).ensemble, jamiolkowski_ensemble(x).ensemble
+    assert iso(z, x, method) == direct(choi_z, choi_x)
+    assert povm(pz, px, method) == direct(povm_to_ensemble(pz), povm_to_ensemble(px))
+
+    value, psi = worst(z, x, method, wopts=WorstCaseOptions(restarts=0, max_steps=1))
+    rho = np.outer(psi, psi.conj())
+    lifted = [
+        make_measurement([(w, [np.kron(np.eye(2), k) for k in kraus]) for w, kraus in m.outcomes])
+        for m in (z, x)
+    ]
+    assert value == direct(apply_measurement(lifted[0], rho), apply_measurement(lifted[1], rho))
 
 
 def test_make_povm_validation():

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,42 @@ def test_parse_failures_exit_2(path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("parse error:")
+    assert captured.out == ""
+
+
+NONFINITE_CASES = [
+    ("p-nan", "dist", "classic_p.json", "classic_q.json", ("states", 0, "p"), math.nan),
+    ("rho-nan", "dist", "classic_p.json", "classic_q.json", ("states", 0, "rho", 0, 0, 0), math.nan),
+    ("rho-inf", "fid", "classic_p.json", "classic_q.json", ("states", 1, "rho", 1, 1, 1), -math.inf),
+    ("p-huge-int", "dist", "classic_p.json", "classic_q.json", ("states", 0, "p"), 10**400),
+    ("dim-bool", "dist", "classic_p.json", "classic_q.json", ("dim",), True),
+    ("weight-nan", "channel", "measz.json", "measx.json", ("outcomes", 0, "weight"), math.nan),
+    ("kraus-nan", "channel", "measz.json", "measx.json", ("outcomes", 0, "kraus", 0, 0, 0, 0), math.nan),
+    ("povm-nan", "povm", "povmz.json", "povmx.json", ("elements", 0, 0, 0, 0), math.nan),
+]
+
+
+@pytest.mark.parametrize(
+    "command,target,other,where,value",
+    [c[1:] for c in NONFINITE_CASES],
+    ids=[c[0] for c in NONFINITE_CASES],
+)
+def test_malformed_numbers_exit_2(command, target, other, where, value, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    doc = json.loads((DATA / target).read_text())
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    bad = tmp_path / target
+    bad.write_text(json.dumps(doc))
+    code = main([command, str(bad), str(DATA / other)])
+    captured = capsys.readouterr()
+    assert code == 2
+    field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in where)
+    assert captured.err.startswith(f"parse error: {bad}{field}: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 

@@ -61,6 +61,8 @@ def test_make_ensemble_errors():
         make_ensemble([(0.5, KET0)])  # sums to 0.5
     with pytest.raises(InvalidState):
         make_ensemble([(-0.2, KET0), (1.2, KET1)])
+    with pytest.raises(InvalidState):
+        make_ensemble([(float("nan"), KET0), (1.0, KET1)])
     with pytest.raises(EmptyEnsemble):
         make_ensemble([])
     with pytest.raises(DimMismatch):
