@@ -16,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ehs import SolverOptions, ehs_distance, ehs_fidelity
-from .ensembles import Ensemble, average_state, make_ensemble
+from .ensembles import Ensemble, average_state, make_ensemble, merge_near_equal
 from .errors import DimMismatch, InvalidMeasurement, InvalidParams, InvalidPovm
 from .kantorovich import kantorovich_distance, kantorovich_fidelity
-from .linalg import as_operator, partial_trace, trace_distance
+from .linalg import as_operator, partial_trace
 
 MEAS_TOL = 1e-8
-CHOI_DEDUP_TOL = 1e-9
 MARGINAL_TOL = 1e-7
 
 
@@ -87,6 +86,8 @@ def make_measurement(outcomes) -> GeneralizedMeasurement:
     dim = None
     for weight, kraus in outcomes:
         weight = float(weight)
+        if not np.isfinite(weight):
+            raise InvalidMeasurement(f"non-finite outcome weight {weight}")
         if weight < -MEAS_TOL:
             raise InvalidMeasurement(f"negative outcome weight {weight}")
         if weight <= 0.0:
@@ -124,17 +125,9 @@ def make_measurement(outcomes) -> GeneralizedMeasurement:
         raise InvalidMeasurement(f"completeness residual norm {residual:.3e}")
 
     chois = [_choi_state(kraus, dim) for _, kraus in cleaned]
-    merged: list[list] = []
-    kept: list[np.ndarray] = []
-    for (w, kraus), choi in zip(cleaned, chois):
-        for idx, ref in enumerate(kept):
-            if trace_distance(choi, ref) <= CHOI_DEDUP_TOL:
-                merged[idx][0] += w
-                break
-        else:
-            merged.append([w, kraus])
-            kept.append(choi)
-    return GeneralizedMeasurement(tuple((w, kraus) for w, kraus in merged), dim)
+    kept, weights = merge_near_equal(chois, [w for w, _ in cleaned])
+    merged = tuple((float(w), cleaned[i][1]) for i, w in zip(kept, weights))
+    return GeneralizedMeasurement(merged, dim)
 
 
 def projective_measurement(vectors) -> GeneralizedMeasurement:
@@ -225,10 +218,12 @@ def apply_measurement(m: GeneralizedMeasurement, rho: np.ndarray) -> Ensemble:
 
 
 def _lifted(m: GeneralizedMeasurement, a_dim: int) -> GeneralizedMeasurement:
-    """``m`` acting on the system half of ancilla (dim ``a_dim``) ⊗ system."""
+    """``m`` acting on the system half of ancilla (dim ``a_dim``) ⊗ system;
+    lifting keeps validity and Choi distances, so nothing is re-checked."""
     eye = np.eye(a_dim)
-    return make_measurement(
-        [(w, [np.kron(eye, k) for k in kraus]) for w, kraus in m.outcomes]
+    return GeneralizedMeasurement(
+        tuple((w, tuple(np.kron(eye, k) for k in kraus)) for w, kraus in m.outcomes),
+        a_dim * m.dim,
     )
 
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from .ensembles import Ensemble, average_state, unify_support
 from .errors import NotPure
-from .kantorovich import _pairwise, kantorovich_distance, transportation_lp
-from .linalg import fidelity, herm_eig, mat_sqrt_psd, trace_distance
+from .kantorovich import kantorovich_distance, transportation_lp
+from .linalg import fidelity, mat_sqrt_psd, pairwise_matrix, trace_distance
 
 _PURITY_TOL = 1e-8
 
@@ -231,6 +231,7 @@ def _bca(p: np.ndarray, q: np.ndarray, w: np.ndarray, opts: SolverOptions):
     converged = False
     for pt, qt in starts:
         val = value_of(pt, qt)
+        stalled = False
         for _ in range(2000):
             total_sweeps += 1
             num = qt * w2
@@ -248,11 +249,11 @@ def _bca(p: np.ndarray, q: np.ndarray, w: np.ndarray, opts: SolverOptions):
             new_val = value_of(pt, qt)
             if new_val - val < 1e-10:
                 val = max(val, new_val)
-                converged = True
+                stalled = True
                 break
             val = new_val
         if val > best_val:
-            best_val, best = val, (pt, qt)
+            best_val, best, converged = val, (pt, qt), stalled
     return best_val, best, total_sweeps, converged, fk
 
 
@@ -267,7 +268,7 @@ def ehs_fidelity(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) ->
     opts = _as_options(opts)
     sp = unify_support(a, b)
     upper = fidelity(average_state(a), average_state(b))
-    w = _pairwise(sp.omega, fidelity, 1.0)
+    w = pairwise_matrix(sp.omega, "fidelity")
     val, (pt, qt), sweeps, converged, fk = _bca(sp.p, sp.q, w, opts)
     value = float(min(max(val, 0.0), 1.0))
     return SolveReport(value, JointPair(pt, qt), sweeps, (fk, upper), converged)
@@ -313,23 +314,15 @@ def uhlmann_pure_ensembles(rho: np.ndarray, sigma: np.ndarray):
 
 
 def pure_ensemble_fidelity(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) -> float:
-    """Pointer-embedding fidelity specialized to pure-state ensembles.
+    """Pointer-embedding fidelity (:func:`ehs_fidelity`) of pure-state
+    ensembles, whose pairwise fidelity is the overlap ``|<psi|phi>|``.
 
-    The pairwise fidelity is the plain overlap ``|<psi|phi>|``.  Raises
-    NotPure when any state has purity ``Tr rho²`` below ``1 - 1e-8``.
+    Raises NotPure when any state has purity ``Tr rho²`` below ``1 - 1e-8``.
     """
-    opts = _as_options(opts)
-    sp = unify_support(a, b)
-    vecs = []
-    for mat in sp.omega:
-        purity = float(np.real(np.trace(mat @ mat)))
-        if purity < 1.0 - _PURITY_TOL:
-            raise NotPure(f"state purity {purity} below {1 - _PURITY_TOL}")
-        dec = herm_eig(mat)
-        vecs.append(dec.eigenvectors[:, 0])
-    w = _pairwise(vecs, lambda u, v: abs(np.vdot(u, v)), 1.0)
-    val, _, _, _, _ = _bca(sp.p, sp.q, w, opts)
-    return float(min(max(val, 0.0), 1.0))
+    purity = min(float(np.real(np.trace(mat @ mat))) for mat in a.states + b.states)
+    if purity < 1.0 - _PURITY_TOL:
+        raise NotPure(f"state purity {purity} below {1 - _PURITY_TOL}")
+    return ehs_fidelity(a, b, opts).value
 
 
 def distance_objective(a: Ensemble, b: Ensemble) -> Callable:
@@ -348,7 +341,7 @@ def fidelity_objective(a: Ensemble, b: Ensemble) -> Callable:
     """Handle returning ``(value, grad_p, grad_q)`` of the fidelity objective
     at an interior table pair."""
     sp = unify_support(a, b)
-    w = _pairwise(sp.omega, fidelity, 1.0)
+    w = pairwise_matrix(sp.omega, "fidelity")
 
     def evaluate(ptab: np.ndarray, qtab: np.ndarray):
         ptab = np.asarray(ptab, float)

@@ -20,7 +20,7 @@ from .errors import (
     PointerReuse,
     WeightMismatch,
 )
-from .linalg import as_operator, trace_distance, von_neumann_entropy
+from .linalg import as_operator, pairwise_matrix, von_neumann_entropy
 
 PROB_TOL = 1e-8
 DISTINCT_TOL = 1e-9
@@ -71,6 +71,23 @@ class Ensemble:
         return iter(zip(self.probs, self.states))
 
 
+def merge_near_equal(states: Sequence[np.ndarray], weights) -> tuple[list[int], np.ndarray]:
+    """Indices of the states kept and their summed weights: walking in
+    order, a state within 1e-9 in trace distance of a kept one adds its
+    weight (a number or a row) to the first such state."""
+    dist = pairwise_matrix(states, "distance")
+    kept: list[int] = []
+    sums: list = []
+    for i, w in enumerate(weights):
+        near = np.flatnonzero(dist[i, kept] <= DISTINCT_TOL)
+        if near.size:
+            sums[near[0]] = sums[near[0]] + w
+        else:
+            kept.append(i)
+            sums.append(w)
+    return kept, np.asarray(sums, dtype=float)
+
+
 def make_ensemble(pairs: Iterable[tuple[float, np.ndarray]]) -> Ensemble:
     """Build an Ensemble from (probability, state) pairs.
 
@@ -94,20 +111,15 @@ def make_ensemble(pairs: Iterable[tuple[float, np.ndarray]]) -> Ensemble:
             dim = mat.shape[0]
         elif mat.shape[0] != dim:
             raise DimMismatch("states of mixed dimension in one ensemble")
-        for k, seen in enumerate(states):
-            if trace_distance(mat, seen) <= DISTINCT_TOL:
-                probs[k] += p
-                break
-        else:
-            states.append(mat)
-            probs.append(p)
+        states.append(mat)
+        probs.append(p)
     if not states:
         raise EmptyEnsemble("no states with positive probability")
-    total = float(sum(probs))
+    kept, merged = merge_near_equal(states, probs)
+    total = float(sum(merged))
     if abs(total - 1.0) > PROB_TOL:
         raise InvalidState(f"probabilities sum to {total}, expected 1")
-    arr = np.asarray(probs, dtype=float) / total
-    return Ensemble(tuple(states), arr)
+    return Ensemble(tuple(states[i] for i in kept), merged / total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,19 +140,11 @@ def unify_support(a: Ensemble, b: Ensemble) -> SupportPair:
     """
     if a.dim != b.dim:
         raise DimMismatch(f"ensembles of dimension {a.dim} and {b.dim}")
-    omega = list(a.states)
-    p = list(a.probs)
-    q = [0.0] * len(omega)
-    for prob, mat in b:
-        for k, seen in enumerate(omega):
-            if trace_distance(mat, seen) <= DISTINCT_TOL:
-                q[k] += prob
-                break
-        else:
-            omega.append(mat)
-            p.append(0.0)
-            q.append(prob)
-    return SupportPair(tuple(omega), np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    states = a.states + b.states
+    weights = np.zeros((len(states), 2))
+    weights[: a.size, 0], weights[a.size :, 1] = a.probs, b.probs
+    kept, pq = merge_near_equal(states, weights)
+    return SupportPair(tuple(states[i] for i in kept), pq[:, 0], pq[:, 1])
 
 
 def average_state(e: Ensemble) -> np.ndarray:

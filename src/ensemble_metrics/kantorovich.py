@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ensembles import Ensemble, check_density, unify_support
-from .errors import LengthMismatch, OutOfRange
-from .linalg import fidelity, trace_distance
+from .errors import LengthMismatch
+from .linalg import fidelity, pairwise_matrix, trace_distance
 
 _RC_TOL = 1e-12
 _PIVOT_CAP = 20000
@@ -136,6 +136,8 @@ def transportation_lp(
         raise LengthMismatch(f"cost shape {cost.shape} vs marginals {(len(p), len(q))}")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost entries must be finite")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+        raise ValueError("marginals must be finite")
     if np.any(p < -1e-12) or np.any(q < -1e-12):
         raise ValueError("marginals must be nonnegative")
     if abs(p.sum() - 1.0) > 1e-8 or abs(q.sum() - 1.0) > 1e-8:
@@ -190,16 +192,6 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     return flows, iterations, "degenerate-resolved" if degenerate else "optimal"
 
 
-def _pairwise(omega: Sequence[np.ndarray], metric: Callable, diag: float) -> np.ndarray:
-    """Symmetric matrix of ``metric`` over all pairs, ``diag`` on the diagonal."""
-    n = len(omega)
-    out = np.full((n, n), diag)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = metric(omega[i], omega[j])
-    return out
-
-
 def coupling_lp(a: Ensemble, b: Ensemble, kind: str = "distance") -> LpSolution:
     """Full transportation solution for an ensemble pair.
 
@@ -207,13 +199,8 @@ def coupling_lp(a: Ensemble, b: Ensemble, kind: str = "distance") -> LpSolution:
     pairwise fidelity (maximized).  Same-index diagonal entries are exact.
     """
     sp = unify_support(a, b)
-    if kind == "distance":
-        metric, diag, sense = trace_distance, 0.0, "min"
-    elif kind == "fidelity":
-        metric, diag, sense = fidelity, 1.0, "max"
-    else:
-        raise OutOfRange(f"unknown kind {kind!r}")
-    return transportation_lp(sp.p, sp.q, _pairwise(sp.omega, metric, diag), sense)
+    sense = "min" if kind == "distance" else "max"
+    return transportation_lp(sp.p, sp.q, pairwise_matrix(sp.omega, kind), sense)
 
 
 def _coupling_value(a: Ensemble, b: Ensemble, kind: str) -> tuple[float, Coupling]:

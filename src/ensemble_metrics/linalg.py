@@ -8,6 +8,7 @@ requires it, so hot loops stay cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,10 +33,6 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise DimMismatch(f"operands have shapes {a.shape} and {b.shape}")
 
 
-def _is_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return float(np.max(np.abs(a - a.conj().T))) <= tol
-
-
 @dataclass(frozen=True)
 class HermEig:
     """Spectral decomposition of a Hermitian matrix.
@@ -56,8 +53,9 @@ def herm_eig(a: np.ndarray) -> HermEig:
     identical input.
     """
     a = as_operator(a)
-    if not _is_hermitian(a):
-        raise NotHermitian(f"max|a - a†| = {np.max(np.abs(a - a.conj().T)):.3e}")
+    err = float(np.max(np.abs(a - a.conj().T)))
+    if err > HERM_TOL:
+        raise NotHermitian(f"max|a - a†| = {err:.3e}")
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
@@ -71,12 +69,18 @@ def trace_norm(o: np.ndarray) -> float:
     Hermitian input (within tolerance) is diagonalized directly; general
     input goes through the singular values of ``o† o``.
     """
-    o = as_operator(o)
-    if _is_hermitian(o):
-        w = np.linalg.eigvalsh((o + o.conj().T) / 2.0)
-        return float(np.sum(np.abs(w)))
-    w = np.linalg.eigvalsh(o.conj().T @ o)
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+    return float(_trace_norms(as_operator(o)[None])[0])
+
+
+def _trace_norms(o: np.ndarray) -> np.ndarray:
+    """:func:`trace_norm` of each matrix in a stack, batched."""
+    oh = o.conj().swapaxes(-1, -2)
+    herm = np.max(np.abs(o - oh), axis=(-2, -1)) <= HERM_TOL
+    out = np.empty(len(o))
+    out[herm] = np.sum(np.abs(np.linalg.eigvalsh((o[herm] + oh[herm]) / 2.0)), axis=-1)
+    w = np.linalg.eigvalsh(oh[~herm] @ o[~herm])
+    out[~herm] = np.sum(np.sqrt(np.clip(w, 0.0, None)), axis=-1)
+    return out
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -87,7 +91,7 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     rho = as_operator(rho)
     sigma = as_operator(sigma)
     _check_same_dim(rho, sigma)
-    return float(min(max(0.5 * trace_norm(rho - sigma), 0.0), 1.0))
+    return float(pairwise_matrix((rho, sigma), "distance")[0, 1])
 
 
 def mat_sqrt_psd(a: np.ndarray) -> np.ndarray:
@@ -120,9 +124,30 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     rho = as_operator(rho)
     sigma = as_operator(sigma)
     _check_same_dim(rho, sigma)
-    prod = mat_sqrt_psd(rho) @ mat_sqrt_psd(sigma)
-    sv = np.linalg.svd(prod, compute_uv=False)
-    return float(min(max(np.sum(sv), 0.0), 1.0))
+    return float(pairwise_matrix((rho, sigma), "fidelity")[0, 1])
+
+
+def pairwise_matrix(states: Sequence[np.ndarray], kind: str) -> np.ndarray:
+    """Symmetric matrix of :func:`trace_distance` (``kind="distance"``, zero
+    diagonal) or :func:`fidelity` (unit diagonal) over validated states.
+
+    Entries equal the per-pair functions bit for bit.  Each upper-triangle
+    row is one batched ``eigvalsh`` or ``svd``; one square root per state.
+    """
+    n = len(states)
+    if kind == "distance":
+        stack, out = np.asarray(states, dtype=complex), np.zeros((n, n))
+    elif kind == "fidelity":
+        stack, out = np.asarray([mat_sqrt_psd(s) for s in states]), np.eye(n)
+    else:
+        raise OutOfRange(f"unknown kind {kind!r}")
+    for i in range(n - 1):
+        if kind == "distance":
+            row = 0.5 * _trace_norms(stack[i] - stack[i + 1 :])
+        else:
+            row = np.sum(np.linalg.svd(stack[i] @ stack[i + 1 :], compute_uv=False), axis=-1)
+        out[i, i + 1 :] = out[i + 1 :, i] = np.clip(row, 0.0, 1.0)
+    return out
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

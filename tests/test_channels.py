@@ -3,6 +3,7 @@ import pytest
 
 from ensemble_metrics.channels import (
     WorstCaseOptions,
+    _lifted,
     apply_measurement,
     compose_measurements,
     dist_iso,
@@ -82,6 +83,14 @@ def test_make_measurement_rejects_incomplete():
     assert "completeness" in str(err.value)
 
 
+def test_make_measurement_rejects_non_finite_weight():
+    proj0 = np.sqrt(2.0) * np.outer(E0, E0)
+    proj1 = np.sqrt(2.0) * np.outer(E1, E1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidMeasurement, match="non-finite"):
+            make_measurement([(bad, [proj0]), (0.5, [proj1])])
+
+
 def test_make_measurement_merges_equivalent_outcomes():
     proj0 = np.sqrt(2.0) * np.outer(E0, E0)
     proj1 = np.sqrt(2.0) * np.outer(E1, E1)
@@ -96,6 +105,22 @@ def test_make_measurement_drops_zero_weight():
     unitary = np.eye(2, dtype=complex)
     m = make_measurement([(0.5, [proj0]), (0.5, [proj1]), (0.0, [unitary])])
     assert len(m) == 2
+
+
+@pytest.mark.parametrize(
+    "d, outcomes, kraus, a_dim", [(2, 2, 1, 2), (2, 3, 2, 1), (3, 3, 2, 3), (3, 2, 1, 2)]
+)
+def test_lifted_equals_validated_lift(d, outcomes, kraus, a_dim):
+    m = random_measurement(d, outcomes, seed=40 + d + outcomes, kraus_per_outcome=kraus)
+    eye = np.eye(a_dim)
+    want = make_measurement([(w, [np.kron(eye, k) for k in ks]) for w, ks in m.outcomes])
+    got = _lifted(m, a_dim)
+    assert got.dim == want.dim == a_dim * d
+    assert np.array_equal(got.weights, want.weights)
+    assert len(got) == len(want)
+    for (_, ks_got), (_, ks_want) in zip(got.outcomes, want.outcomes):
+        assert len(ks_got) == len(ks_want)
+        assert all(np.array_equal(x, y) for x, y in zip(ks_got, ks_want))
 
 
 def test_apply_measurement_probabilities():

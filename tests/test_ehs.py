@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ensemble_metrics import ehs
 from ensemble_metrics.ehs import (
     JointPair,
     SolverOptions,
@@ -23,7 +24,12 @@ from ensemble_metrics.ensembles import (
     unify_support,
 )
 from ensemble_metrics.errors import NotPure
-from ensemble_metrics.kantorovich import kantorovich_distance, kantorovich_fidelity
+from ensemble_metrics.kantorovich import (
+    Coupling,
+    LpSolution,
+    kantorovich_distance,
+    kantorovich_fidelity,
+)
 from ensemble_metrics.linalg import fidelity, trace_distance
 from ensemble_metrics.oracle import random_density, random_ensemble
 
@@ -150,6 +156,21 @@ def test_budget_exhaustion_is_reported():
     assert rep.iterations == 10
     # the value is still a feasible upper bound inside the bracket
     assert rep.bracket[0] - 1e-12 <= rep.value <= rep.bracket[1] + 1e-12
+
+
+def test_fidelity_ascent_reports_the_start_it_returns(monkeypatch):
+    # With w close to all-ones the ascent from the product tables still gains
+    # more than 1e-10 a sweep when the 2000-sweep cap stops it.  A coupling
+    # start on the off-diagonal cells keeps its zero pattern and stalls at
+    # once, lower; the returned value is the unfinished product start's.
+    p = q = np.array([0.5, 0.5])
+    w = np.array([[1.0, 0.999], [0.999, 1.0]])
+    off = LpSolution(0.999, Coupling(np.array([[0.0, 0.5], [0.5, 0.0]])), 0, "optimal")
+    monkeypatch.setattr(ehs, "transportation_lp", lambda *args: off)
+    val, _, sweeps, converged, _ = ehs._bca(p, q, w, SolverOptions(restarts=0))
+    assert sweeps == 1 + 2000
+    assert val > 0.999 + 1e-4
+    assert not converged
 
 
 def test_solver_options_defaults():

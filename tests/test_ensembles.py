@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from ensemble_metrics.channels import make_measurement
 from ensemble_metrics.ensembles import (
+    DISTINCT_TOL,
     average_entropy,
     average_state,
     canonical_ehs_state,
@@ -49,6 +51,52 @@ def test_make_ensemble_merges_duplicates():
     ens = make_ensemble([(0.25, KET0), (0.25, KET0.copy()), (0.5, KET1)])
     assert ens.size == 2
     assert np.allclose(sorted(ens.probs), [0.5, 0.5])
+
+
+def _near_equal_states():
+    """Qubit unitaries ``diag(e^{-it/2}, e^{it/2})`` at t = 0, 2e and 1.2e:
+    the Choi states of the first two lie 1.5 * DISTINCT_TOL apart in trace
+    distance, the third lies within DISTINCT_TOL of both and nearer the
+    second.  So do the states ``U |+><+| U†``."""
+    e = 1.5 * DISTINCT_TOL
+    ts = (0.0, 2.0 * e, 1.2 * e)
+    unitaries = [np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)]) for t in ts]
+    states = [u @ PLUS @ u.conj().T for u in unitaries]
+    return unitaries, states
+
+
+def _merge_by_make_ensemble():
+    _, (a, b, c) = _near_equal_states()
+    ens = make_ensemble([(0.2, a), (0.3, b), (0.5, c)])
+    return ens.states, ens.probs, (a, b)
+
+
+def _merge_by_unify_support():
+    _, (a, b, c) = _near_equal_states()
+    sp = unify_support(make_ensemble([(0.4, a), (0.6, b)]), make_ensemble([(1.0, c)]))
+    return sp.omega, np.concatenate([sp.p, sp.q]), (a, b)
+
+
+def _merge_by_make_measurement():
+    (u, v, w), _ = _near_equal_states()
+    m = make_measurement([(0.2, [u]), (0.3, [v]), (0.5, [w])])
+    return [ks[0] for _, ks in m.outcomes], m.weights, (u, v)
+
+
+@pytest.mark.parametrize(
+    "merge, weights",
+    [
+        (_merge_by_make_ensemble, [0.7, 0.3]),
+        (_merge_by_unify_support, [0.4, 0.6, 1.0, 0.0]),
+        (_merge_by_make_measurement, [0.7, 0.3]),
+    ],
+    ids=["make_ensemble", "unify_support", "make_measurement"],
+)
+def test_near_equal_state_merges_into_first_kept(merge, weights):
+    kept, got, (first, second) = merge()
+    assert len(kept) == 2
+    assert np.array_equal(kept[0], first) and np.array_equal(kept[1], second)
+    assert np.allclose(got, weights, rtol=0.0, atol=1e-15)
 
 
 def test_make_ensemble_drops_zero_weight():

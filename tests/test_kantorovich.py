@@ -98,6 +98,10 @@ def test_transportation_lp_input_validation():
         transportation_lp(
             np.array([1.0]), np.array([1.0]), np.array([[np.nan]])
         )
+    with pytest.raises(ValueError, match="finite"):
+        transportation_lp(np.array([np.nan, 1.0]), np.array([0.5, 0.5]), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        transportation_lp(np.array([0.5, 0.5]), np.array([1.0, np.inf]), np.ones((2, 2)))
     with pytest.raises(ValueError):
         transportation_lp(np.array([1.0]), np.array([1.0]), np.zeros((1, 1)), "best")
 

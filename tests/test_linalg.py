@@ -8,6 +8,7 @@ from ensemble_metrics.linalg import (
     helstrom_pmax,
     herm_eig,
     mat_sqrt_psd,
+    pairwise_matrix,
     partial_trace,
     tensor,
     trace_distance,
@@ -82,6 +83,42 @@ def test_trace_distance_symmetric_and_bounded():
         assert 0.0 <= d1 <= 1.0
     with pytest.raises(DimMismatch):
         trace_distance(np.eye(2) / 2, np.eye(3) / 3)
+
+
+def _rand_state(rng, d, rank):
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def _per_pair(kind, rho, sigma):
+    """The unbatched formulas that pairwise_matrix evaluates row by row."""
+    if kind == "distance":
+        o = rho - sigma
+        value = 0.5 * np.sum(np.abs(np.linalg.eigvalsh((o + o.conj().T) / 2.0)))
+    else:
+        value = np.sum(np.linalg.svd(mat_sqrt_psd(rho) @ mat_sqrt_psd(sigma), compute_uv=False))
+    return min(max(float(value), 0.0), 1.0)
+
+
+@pytest.mark.parametrize("kind, metric, diag", [
+    ("distance", trace_distance, 0.0), ("fidelity", fidelity, 1.0),
+])
+def test_pairwise_matrix_matches_per_pair_functions(kind, metric, diag):
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        d = int(rng.integers(2, 9))
+        ranks = [1, d] + [int(r) for r in rng.integers(1, d + 1, size=int(rng.integers(1, 6)))]
+        states = [_rand_state(rng, d, r) for r in ranks]
+        got = pairwise_matrix(states, kind)
+        assert np.array_equal(got, got.T)
+        assert np.all(np.diag(got) == diag)
+        for i in range(len(states)):
+            for j in range(i + 1, len(states)):
+                assert got[i, j] == _per_pair(kind, states[i], states[j])
+                assert abs(got[i, j] - metric(states[i], states[j])) <= 1e-15
+    with pytest.raises(OutOfRange):
+        pairwise_matrix(states, "overlap")
 
 
 def test_fidelity_known_values():
