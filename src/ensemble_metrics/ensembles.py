@@ -71,10 +71,13 @@ class Ensemble:
         return iter(zip(self.probs, self.states))
 
 
-def merge_near_equal(states: Sequence[np.ndarray], weights) -> tuple[list[int], np.ndarray]:
-    """Indices of the states kept and their summed weights: walking in
-    order, a state within 1e-9 in trace distance of a kept one adds its
-    weight (a number or a row) to the first such state."""
+def merge_near_equal(
+    states: Sequence[np.ndarray], weights
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Indices of the states kept, their summed weights, and the trace
+    distances between all the given states: walking in order, a state
+    within 1e-9 in trace distance of a kept one adds its weight (a number
+    or a row) to the first such state."""
     dist = pairwise_matrix(states, "distance")
     kept: list[int] = []
     sums: list = []
@@ -85,7 +88,7 @@ def merge_near_equal(states: Sequence[np.ndarray], weights) -> tuple[list[int], 
         else:
             kept.append(i)
             sums.append(w)
-    return kept, np.asarray(sums, dtype=float)
+    return kept, np.asarray(sums, dtype=float), dist
 
 
 def make_ensemble(pairs: Iterable[tuple[float, np.ndarray]]) -> Ensemble:
@@ -115,7 +118,7 @@ def make_ensemble(pairs: Iterable[tuple[float, np.ndarray]]) -> Ensemble:
         probs.append(p)
     if not states:
         raise EmptyEnsemble("no states with positive probability")
-    kept, merged = merge_near_equal(states, probs)
+    kept, merged, _ = merge_near_equal(states, probs)
     total = float(sum(merged))
     if abs(total - 1.0) > PROB_TOL:
         raise InvalidState(f"probabilities sum to {total}, expected 1")
@@ -124,11 +127,13 @@ def make_ensemble(pairs: Iterable[tuple[float, np.ndarray]]) -> Ensemble:
 
 @dataclass(frozen=True, eq=False)
 class SupportPair:
-    """Two distributions over a shared list of distinct states."""
+    """Two distributions over a shared list of distinct states, with the
+    pairwise trace distances of those states."""
 
     omega: tuple[np.ndarray, ...]
     p: np.ndarray
     q: np.ndarray
+    dist: np.ndarray
 
 
 def unify_support(a: Ensemble, b: Ensemble) -> SupportPair:
@@ -136,15 +141,19 @@ def unify_support(a: Ensemble, b: Ensemble) -> SupportPair:
 
     States of ``a`` come first in their original order; states of ``b`` not
     already present (within 1e-9 trace distance) are appended in order, so
-    the result is deterministic.
+    the result is deterministic.  ``dist`` is sliced from the trace
+    distances the merge computed, and equals ``pairwise_matrix(omega,
+    "distance")``.
     """
     if a.dim != b.dim:
         raise DimMismatch(f"ensembles of dimension {a.dim} and {b.dim}")
     states = a.states + b.states
     weights = np.zeros((len(states), 2))
     weights[: a.size, 0], weights[a.size :, 1] = a.probs, b.probs
-    kept, pq = merge_near_equal(states, weights)
-    return SupportPair(tuple(states[i] for i in kept), pq[:, 0], pq[:, 1])
+    kept, pq, dist = merge_near_equal(states, weights)
+    return SupportPair(
+        tuple(states[i] for i in kept), pq[:, 0], pq[:, 1], dist[np.ix_(kept, kept)]
+    )
 
 
 def average_state(e: Ensemble) -> np.ndarray:

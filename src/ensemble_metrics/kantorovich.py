@@ -2,9 +2,11 @@
 
 The coupling problem is a transportation linear program: optimize
 ``sum_ij table[i,j] * cost[i,j]`` over nonnegative tables with prescribed row
-and column sums.  It is solved exactly with the transportation (network)
-simplex; the basis always forms a spanning tree of the bipartite supply /
-demand graph.
+and column sums.  It is solved exactly with the network simplex.  The basis
+is a spanning tree of the bipartite row / column graph, started from the
+northwest corner and kept strongly feasible, so pricing by the most negative
+reduced cost cannot cycle.  Potentials are updated on the re-hung subtree
+only, and recomputed from scratch before optimality is declared.
 """
 
 from __future__ import annotations
@@ -37,97 +39,15 @@ class LpSolution:
     status: str  # "optimal" or "degenerate-resolved"
 
 
-def _northwest_corner(a: np.ndarray, b: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Initial basic feasible solution: m+n-1 cells on a staircase path."""
-    m, n = len(a), len(b)
-    flows = np.zeros((m, n))
-    basis: list[tuple[int, int]] = []
-    ai = a.astype(float).copy()
-    bj = b.astype(float).copy()
-    i = j = 0
-    while True:
-        t = min(ai[i], bj[j])
-        basis.append((i, j))
-        flows[i, j] = t
-        ai[i] -= t
-        bj[j] -= t
-        if i == m - 1 and j == n - 1:
-            break
-        if i == m - 1:
-            j += 1
-        elif j == n - 1:
-            i += 1
-        elif ai[i] <= bj[j]:
-            i += 1
-        else:
-            j += 1
-    return basis, flows
-
-
-def _tree_duals(m: int, n: int, basis: list[tuple[int, int]], cost: np.ndarray):
-    """Dual potentials u, v with u[0]=0, solved by walking the basis tree."""
-    rows_adj: list[list[int]] = [[] for _ in range(m)]
-    cols_adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in basis:
-        rows_adj[i].append(j)
-        cols_adj[j].append(i)
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    u[0] = 0.0
-    stack: list[tuple[int, bool]] = [(0, True)]
-    while stack:
-        k, is_row = stack.pop()
-        if is_row:
-            for j in rows_adj[k]:
-                if np.isnan(v[j]):
-                    v[j] = cost[k, j] - u[k]
-                    stack.append((j, False))
-        else:
-            for i in cols_adj[k]:
-                if np.isnan(u[i]):
-                    u[i] = cost[i, k] - v[k]
-                    stack.append((i, True))
-    return u, v
-
-
-def _tree_path(m: int, basis: list[tuple[int, int]], row: int, col: int) -> list[tuple[int, int]]:
-    """Cells along the unique tree path from column node ``col`` to row node ``row``.
-
-    Row nodes are 0..m-1, column nodes m..m+n-1; each basic cell is an edge.
-    """
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for i, j in basis:
-        adj.setdefault(i, []).append((m + j, (i, j)))
-        adj.setdefault(m + j, []).append((i, (i, j)))
-    start, goal = m + col, row
-    parent: dict[int, tuple[int, tuple[int, int]]] = {start: (start, (-1, -1))}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for nxt, cell in adj.get(node, ()):
-            if nxt not in parent:
-                parent[nxt] = (node, cell)
-                stack.append(nxt)
-    path: list[tuple[int, int]] = []
-    node = goal
-    while node != start:
-        prev, cell = parent[node]
-        path.append(cell)
-        node = prev
-    path.reverse()
-    return path
-
-
 def transportation_lp(
     p: np.ndarray, q: np.ndarray, cost: np.ndarray, sense: str = "min"
 ) -> LpSolution:
     """Exact optimum of a transportation problem with marginals ``p`` and ``q``.
 
     Returns a basic feasible solution (a vertex of the transportation
-    polytope).  Degenerate pivots are resolved with Bland's rule, which also
-    rules out cycling.
+    polytope) and the number of simplex pivots taken.  ``status`` is
+    ``"degenerate-resolved"`` when some pivot moved no flow; the strongly
+    feasible basis keeps such pivots from cycling.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -157,39 +77,163 @@ def transportation_lp(
     return LpSolution(value, Coupling(table), iterations, status)
 
 
-def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
-    m, n = cost.shape
-    basis, flows = _northwest_corner(a, b)
-    in_basis = np.zeros((m, n), dtype=bool)
-    for cell in basis:
-        in_basis[cell] = True
-    degenerate = False
-    iterations = 0
-    while iterations < _PIVOT_CAP:
-        u, v = _tree_duals(m, n, basis, cost)
-        reduced = cost - u[:, None] - v[None, :]
-        reduced[in_basis] = 0.0
-        candidates = np.argwhere(reduced < -_RC_TOL)
-        if len(candidates) == 0:
+def _northwest_corner(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[float]]:
+    """Initial basis: the m+n-1 cells of the northwest-corner staircase.
+
+    Nodes are the rows ``0..m-1`` and then the columns ``m..m+n-1``.  The
+    basis is a tree rooted at row 0, given as ``parent`` pointers and, for
+    every other node, the ``flow`` on the cell joining it to its parent.
+    Each step of the staircase hangs the node it moves to from the node it
+    leaves.  A tie moves down a row, so a zero-flow cell always hangs a row
+    from its column: the tree is strongly feasible whenever the masses are
+    positive and balance.
+    """
+    m, n = len(a), len(b)
+    parent = [-1] * (m + n)
+    flow = [0.0] * (m + n)
+    ai = a.astype(float).copy()
+    bj = b.astype(float).copy()
+    i = j = 0
+    parent[m] = 0
+    node = m
+    while True:
+        t = min(ai[i], bj[j])
+        flow[node] = float(t)
+        ai[i] -= t
+        bj[j] -= t
+        if i == m - 1 and j == n - 1:
             break
-        # Bland: smallest (row, col) index among improving cells
-        ei, ej = map(int, candidates[0])
-        cycle = [(ei, ej)] + _tree_path(m, basis, ei, ej)
-        minus = cycle[1::2]
-        theta = min(flows[cell] for cell in minus)
-        leaving = min(cell for cell in minus if flows[cell] <= theta)
-        if theta == 0.0:
-            degenerate = True
-        for k, cell in enumerate(cycle):
-            flows[cell] += theta if k % 2 == 0 else -theta
-        flows[leaving] = 0.0
-        basis[basis.index(leaving)] = (ei, ej)
-        in_basis[leaving] = False
-        in_basis[ei, ej] = True
+        if i < m - 1 and (j == n - 1 or ai[i] <= bj[j]):
+            i += 1
+            parent[i], node = m + j, i
+        else:
+            j += 1
+            parent[m + j], node = i, m + j
+    return parent, flow
+
+
+def _subtree(top: int, children: list[list[int]]) -> list[int]:
+    """Nodes of the subtree under ``top``, breadth first, so each comes
+    after its parent."""
+    order = [top]
+    for x in order:
+        order.extend(children[x])
+    return order
+
+
+def _potentials(cost: np.ndarray, parent: list[int], order: list[int]) -> np.ndarray:
+    """Dual potentials from the root down ``order``: ``u`` (with ``u_0 = 0``)
+    on the row nodes and ``-v`` on the column nodes, where
+    ``u_i + v_j = cost_ij`` on every tree cell."""
+    m = cost.shape[0]
+    pot = np.zeros(len(parent))
+    for x in order[1:]:
+        p = parent[x]
+        if x < m:
+            pot[x] = cost[x, p - m] + pot[p]
+        else:
+            pot[x] = pot[p] - cost[p, x - m]
+    return pot
+
+
+def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, watch=None):
+    """Network simplex with Dantzig pricing on a strongly feasible tree.
+
+    The entering cell has the most negative reduced cost.  The basis tree
+    stays strongly feasible (every zero-flow cell hangs a row from its
+    column, so it points toward the root), which rules out cycling under
+    any entering rule: Cunningham, "A network simplex method", Math.
+    Programming 11 (1976); Ahuja, Magnanti and Orlin, *Network Flows*
+    (1993), §11.5.  ``watch``, if given, sees ``(parent, flow)`` after
+    every pivot.
+    """
+    m, n = cost.shape
+    parent, flow = _northwest_corner(a, b)
+    children: list[list[int]] = [[] for _ in range(m + n)]
+    for x in range(1, m + n):
+        children[parent[x]].append(x)
+    order = _subtree(0, children)
+    depth = [0] * (m + n)
+    for x in order[1:]:
+        depth[x] = depth[parent[x]] + 1
+    pot = _potentials(cost, parent, order)
+
+    def cell(x: int) -> tuple[int, int]:
+        """The tree cell joining node ``x`` to its parent."""
+        return (x, parent[x] - m) if x < m else (parent[x], x - m)
+
+    basic = np.zeros((m, n), dtype=bool)
+    for x in order[1:]:
+        basic[cell(x)] = True
+    degenerate = False
+    fresh = True
+    iterations = 0
+    while True:
+        reduced = cost - pot[:m, None] + pot[None, m:]
+        reduced[basic] = 0.0
+        enter = int(np.argmin(reduced))
+        rc = float(reduced.flat[enter])
+        if rc >= -_RC_TOL:
+            if fresh:
+                break
+            # rerun the test on potentials free of incremental drift
+            pot = _potentials(cost, parent, _subtree(0, children))
+            fresh = True
+            continue
+        if iterations == _PIVOT_CAP:
+            raise RuntimeError("transportation simplex exceeded its pivot cap")
+        # Climb from both ends of the entering cell to the apex.  Flow runs
+        # from row k into column l and back to k through the tree, so it
+        # shrinks the cells that hang a row on k's side and a column on l's.
+        ei, ej = divmod(enter, n)
+        k, l = ei, m + ej
+        k_side, l_side = [], []
+        x, y = k, l
+        while x != y:
+            if depth[x] >= depth[y]:
+                k_side.append(x)
+                x = parent[x]
+            else:
+                l_side.append(y)
+                y = parent[y]
+        theta = min([flow[x] for x in k_side if x < m] + [flow[y] for y in l_side if y >= m])
+        # the leaving cell is the last blocking one met going round the
+        # cycle from the apex: down to k, across, then up from l
+        leave = next((y for y in reversed(l_side) if y >= m and flow[y] == theta), None)
+        on_k = leave is None
+        if on_k:
+            leave = next(x for x in k_side if x < m and flow[x] == theta)
+        degenerate = degenerate or theta == 0.0
+        for x in k_side:
+            flow[x] += -theta if x < m else theta
+        for y in l_side:
+            flow[y] += -theta if y >= m else theta
+        basic[cell(leave)] = False
+        basic[ei, ej] = True
+        # Re-hang the subtree cut off by the leaving cell from the entering
+        # cell: reverse the path from the entering cell's end up to
+        # ``leave``, each node taking the flow of the cell below it.
+        side = k_side if on_k else l_side
+        top, above = (k, l) if on_k else (l, k)
+        carried = theta
+        for s in side[: side.index(leave) + 1]:
+            children[parent[s]].remove(s)
+            children[above].append(s)
+            parent[s], above = above, s
+            flow[s], carried = carried, flow[s]
+        # shift the subtree's potentials so the entering cell prices to zero
+        moved = _subtree(top, children)
+        for x in moved:
+            depth[x] = depth[parent[x]] + 1
+        pot[moved] += rc if top < m else -rc
+        fresh = False
         iterations += 1
-    else:  # pragma: no cover - Bland's rule prevents cycling
-        raise RuntimeError("transportation simplex exceeded its pivot cap")
-    return flows, iterations, "degenerate-resolved" if degenerate else "optimal"
+        if watch is not None:
+            watch(parent, flow)
+    table = np.zeros((m, n))
+    for x in range(1, m + n):
+        table[cell(x)] = flow[x]
+    return table, iterations, "degenerate-resolved" if degenerate else "optimal"
 
 
 def coupling_lp(a: Ensemble, b: Ensemble, kind: str = "distance") -> LpSolution:
@@ -199,8 +243,9 @@ def coupling_lp(a: Ensemble, b: Ensemble, kind: str = "distance") -> LpSolution:
     pairwise fidelity (maximized).  Same-index diagonal entries are exact.
     """
     sp = unify_support(a, b)
-    sense = "min" if kind == "distance" else "max"
-    return transportation_lp(sp.p, sp.q, pairwise_matrix(sp.omega, kind), sense)
+    if kind == "distance":
+        return transportation_lp(sp.p, sp.q, sp.dist, "min")
+    return transportation_lp(sp.p, sp.q, pairwise_matrix(sp.omega, kind), "max")
 
 
 def _coupling_value(a: Ensemble, b: Ensemble, kind: str) -> tuple[float, Coupling]:

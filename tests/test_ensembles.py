@@ -23,7 +23,8 @@ from ensemble_metrics.errors import (
     PointerReuse,
     WeightMismatch,
 )
-from ensemble_metrics.linalg import partial_trace, trace_distance
+from ensemble_metrics.linalg import pairwise_matrix, partial_trace, trace_distance
+from ensemble_metrics.oracle import random_density
 
 KET0 = pure_state(np.array([1.0, 0.0]))
 KET1 = pure_state(np.array([0.0, 1.0]))
@@ -138,6 +139,22 @@ def test_unify_support_order_and_marginals():
     assert np.allclose(sp.q, [0.0, 0.5, 0.5])
     with pytest.raises(DimMismatch):
         unify_support(a, make_ensemble([(1.0, np.eye(3) / 3)]))
+
+
+def test_unify_support_distances_equal_the_kernel_on_the_support():
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        d = int(rng.integers(2, 9))
+        sa = [random_density(d, int(rng.integers(1, d + 1)), seed=1000 * trial + i) for i in range(6)]
+        sb = [random_density(d, seed=1000 * trial + 100 + i) for i in range(5)]
+        # b shares some of a's states, first among them, so the kept set has gaps
+        shared = sorted(rng.choice(6, size=int(rng.integers(1, 4)), replace=False))
+        sb = [sa[i] for i in shared] + sb
+        a = make_ensemble(list(zip(rng.dirichlet(np.ones(6)), sa)))
+        b = make_ensemble(list(zip(rng.dirichlet(np.ones(len(sb))), sb)))
+        sp = unify_support(a, b)
+        assert len(sp.omega) == 11
+        assert np.array_equal(sp.dist, pairwise_matrix(sp.omega, "distance"))
 
 
 def test_average_state_and_entropies():

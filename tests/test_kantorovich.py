@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from ensemble_metrics.ensembles import make_ensemble, pure_state, unify_support
 from ensemble_metrics.errors import LengthMismatch, OutOfRange
 from ensemble_metrics.kantorovich import (
+    _northwest_corner,
+    _simplex,
     check_average_continuity,
     coupling_lp,
     flagged_closed_form_distance,
@@ -248,3 +250,84 @@ def test_check_average_continuity_detects_violation():
     report = check_average_continuity([1.0], [0.0], 0.5, lambda t: t)
     assert not report
     assert report.difference == 1.0 and report.bound == 0.5
+
+
+def _uniform_integer_costs(rng, m, n):
+    return np.full(m, 1.0 / m), np.full(n, 1.0 / n), rng.integers(0, 3, (m, n)).astype(float)
+
+
+def _repeated_rows_and_columns(rng, m, n):
+    # rows and columns of the cost, and the masses, are copies of a few types
+    rows = rng.integers(0, 3, m)
+    cols = rng.integers(0, 3, n)
+    cost = rng.integers(0, 3, (3, 3)).astype(float)[np.ix_(rows, cols)]
+    p = rng.integers(1, 3, 3)[rows].astype(float)
+    q = rng.integers(1, 3, 3)[cols].astype(float)
+    return p / p.sum(), q / q.sum(), cost
+
+
+def _shared_states(rng, m, n):
+    # the first min(m, n) states are on both sides: a symmetric cost with a
+    # zero diagonal, rounded so that distances tie, and often equal masses
+    k = max(m, n)
+    pts = rng.random((k, 2))
+    cost = np.round(np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2), 1)
+    p = rng.integers(1, 3, m).astype(float)
+    q = p.copy() if m == n and rng.random() < 0.5 else rng.integers(1, 3, n).astype(float)
+    return p / p.sum(), q / q.sum(), cost[:m, :n]
+
+
+DEGENERATE = [_uniform_integer_costs, _repeated_rows_and_columns, _shared_states]
+
+
+@pytest.mark.parametrize("make", DEGENERATE, ids=["uniform-0-1-2", "repeated", "shared-states"])
+def test_transportation_lp_matches_vertex_oracle_on_ties(make):
+    rng = np.random.default_rng(23)
+    degenerate = 0
+    for trial in range(120):
+        m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        p, q, cost = make(rng, m, n)
+        for sense in ("min", "max"):
+            sol = transportation_lp(p, q, cost, sense)
+            table = sol.coupling.table
+            assert abs(sol.value - lp_vertex_oracle(p, q, cost, sense)) <= 1e-12, (trial, sense)
+            assert table.min() >= 0.0
+            assert np.abs(table.sum(axis=1) - p).max() <= 1e-12
+            assert np.abs(table.sum(axis=0) - q).max() <= 1e-12
+            degenerate += sol.status == "degenerate-resolved"
+    assert degenerate >= 10  # the ties do reach degenerate pivots
+
+
+def _zero_flow_cells_point_to_root(parent, flow, m):
+    """Strong feasibility of a basis tree rooted at row 0: a tree cell with
+    zero flow hangs a row (node < m) from its column, never a column from
+    its row."""
+    return all(flow[x] > 0.0 or x < m for x in range(len(parent)) if parent[x] >= 0)
+
+
+@pytest.mark.parametrize("make", DEGENERATE, ids=["uniform-0-1-2", "repeated", "shared-states"])
+def test_basis_stays_strongly_feasible_after_every_pivot(make):
+    rng = np.random.default_rng(29)
+    pivots = 0
+    for trial in range(60):
+        m, n = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+        p, q, cost = make(rng, m, n)
+        cost = cost if trial % 2 else -cost
+        assert _zero_flow_cells_point_to_root(*_northwest_corner(p, q), m)
+        trees = []
+        _, iterations, _ = _simplex(
+            p, q, cost, lambda parent, flow: trees.append(_zero_flow_cells_point_to_root(parent, flow, m))
+        )
+        assert len(trees) == iterations and all(trees)
+        pivots += iterations
+    assert pivots >= 100
+
+
+def test_pivot_count_pins_dantzig_pricing():
+    # d=8, 32 full-rank states a side, disjoint supports.  Dantzig pricing
+    # took 97 pivots for the distance and 115 for the fidelity here, Bland's
+    # rule 994 and 1252; the bounds allow 25% over the measured counts.
+    a = random_ensemble(8, 32, seed=1)
+    b = random_ensemble(8, 32, seed=2)
+    assert coupling_lp(a, b, "distance").iterations <= 121
+    assert coupling_lp(a, b, "fidelity").iterations <= 144
