@@ -7,11 +7,22 @@ between measurements either feed a fixed entangled input through both
 (`dist_iso` / `fid_iso`) or search the input sphere for the worst case
 (`dist_max` / `fid_min`).  POVMs are compared through the ensemble of their
 normalized elements.
+
+The worst-case search is a multi-start ascent over pure inputs on ancilla ⊗
+system.  With ``method="kantorovich"`` the score at an input is one
+transportation LP whose marginals (outcome probabilities) and costs (trace
+distances or fidelities of the post-measurement states) are smooth in the
+input, so the optimal flow and dual potentials of that same solve give the
+exact gradient (envelope theorem; Bertsimas and Tsitsiklis, *Introduction to
+Linear Optimization* (1997), ch. 5).  ``method="ehs"`` has no dual
+certificate and takes central differences of the values.  Either way the
+value found is a bound: below the true maximum distance, above the true
+minimum fidelity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +30,7 @@ from .ehs import SolverOptions, ehs_distance, ehs_fidelity
 from .ensembles import Ensemble, average_state, make_ensemble, merge_near_equal
 from .errors import DimMismatch, InvalidMeasurement, InvalidParams, InvalidPovm
 from .kantorovich import kantorovich_distance, kantorovich_fidelity
-from .linalg import as_operator, partial_trace
+from .linalg import as_operator, mat_pinv_sqrt_psd, mat_sqrt_psd, partial_trace
 
 MEAS_TOL = 1e-8
 MARGINAL_TOL = 1e-7
@@ -125,7 +136,7 @@ def make_measurement(outcomes) -> GeneralizedMeasurement:
         raise InvalidMeasurement(f"completeness residual norm {residual:.3e}")
 
     chois = [_choi_state(kraus, dim) for _, kraus in cleaned]
-    kept, weights, _ = merge_near_equal(chois, [w for w, _ in cleaned])
+    kept, weights, _, _ = merge_near_equal(chois, [w for w, _ in cleaned])
     merged = tuple((float(w), cleaned[i][1]) for i, w in zip(kept, weights))
     return GeneralizedMeasurement(merged, dim)
 
@@ -200,13 +211,15 @@ def make_povm(elements) -> Povm:
 def apply_measurement(m: GeneralizedMeasurement, rho: np.ndarray) -> Ensemble:
     """Output ensemble ``{(m_i Tr Mbar_i(rho), Mbar_i(rho) normalized)}``.
 
-    Zero-probability outcomes are dropped and identical post-states merge.
+    Zero-probability outcomes are dropped and identical post-states merge;
+    the ensemble's ``index`` gives, for each outcome, the state it went
+    into, or -1.
     """
     rho = as_operator(rho)
     if rho.shape[0] != m.dim:
         raise DimMismatch(f"state dim {rho.shape[0]}, measurement dim {m.dim}")
-    pairs = []
-    for w, kraus in m.outcomes:
+    pairs, taken = [], []
+    for i, (w, kraus) in enumerate(m.outcomes):
         out = np.zeros_like(rho)
         for k in kraus:
             out += k @ rho @ k.conj().T
@@ -214,7 +227,11 @@ def apply_measurement(m: GeneralizedMeasurement, rho: np.ndarray) -> Ensemble:
         if w * tr <= 0.0:
             continue
         pairs.append((w * tr, out / tr))
-    return make_ensemble(pairs)
+        taken.append(i)
+    ens = make_ensemble(pairs)
+    index = np.full(len(m), -1)
+    index[taken] = ens.index
+    return replace(ens, index=index)
 
 
 def _lifted(m: GeneralizedMeasurement, a_dim: int) -> GeneralizedMeasurement:
@@ -287,10 +304,11 @@ def fid_iso(
     return _iso(m, n, "fidelity", method, opts)
 
 
-# Central-difference step and the tangent-gradient norm at which an ascent
-# from one start stops.
-FD_STEP = 1e-5
+# The tangent-gradient norm at which an ascent from one start stops, and the
+# central-difference step of the gradient for methods with no dual
+# certificate.
 GRAD_NORM_TOL = 1e-6
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -302,63 +320,226 @@ class WorstCaseOptions:
     seed: int = 0
 
 
+@dataclass(frozen=True, eq=False)
+class WorstCase:
+    """What a worst-case search found and what it did.
+
+    Unpacks as ``(value, state)``.  ``iterations`` is the number of steps
+    taken, summed over the starts; ``evaluations`` the number of score
+    evaluations; ``stationary_starts`` the number of starts that stopped at
+    a tangent gradient below ``GRAD_NORM_TOL``.
+    """
+
+    value: float
+    state: np.ndarray
+    iterations: int
+    evaluations: int
+    stationary_starts: int
+
+    def __iter__(self):
+        return iter((self.value, self.state))
+
+    def __getitem__(self, k):
+        return (self.value, self.state)[k]
+
+
 def _unit(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _sphere_search(score, dim: int, wopts: WorstCaseOptions, starts_extra):
-    """Multi-start ascent of ``score`` over unit vectors in C^dim.
+def _as_real(psi: np.ndarray) -> np.ndarray:
+    return np.concatenate([psi.real, psi.imag])
 
-    Central finite differences in the real parametrization, tangent-space
-    steps with backtracking.  Returns the best point found, a lower bound on
-    the true maximum.
+
+def _as_complex(x: np.ndarray) -> np.ndarray:
+    half = len(x) // 2
+    return x[:half] + 1j * x[half:]
+
+
+def _sphere_search(evaluate, dim: int, wopts: WorstCaseOptions, starts_extra):
+    """Multi-start ascent over unit vectors in C^dim, in the real
+    parametrization (real parts, then imaginary parts).
+
+    ``evaluate(x)`` returns the score at the unit vector ``x`` and a
+    function that gives the score's gradient there; the search asks for the
+    gradient only at the points it accepts.  Each step goes along the
+    tangent gradient, from length 0.5 and halving until the score rises.  A
+    start stops when the tangent gradient norm falls to ``GRAD_NORM_TOL``,
+    when no step rises, or after ``max_steps``.  Returns the best value
+    found (a lower bound on the true maximum), its point, the steps taken
+    and the number of starts that met ``GRAD_NORM_TOL``.
     """
     rng = np.random.default_rng(wopts.seed)
     starts = [np.asarray(s, dtype=complex).reshape(-1) for s in starts_extra]
     for _ in range(wopts.restarts):
         starts.append(_unit(rng.normal(size=dim) + 1j * rng.normal(size=dim)))
 
-    def as_real(psi):
-        return np.concatenate([psi.real, psi.imag])
-
-    def as_complex(x):
-        return x[:dim] + 1j * x[dim:]
-
-    def value(x):
-        return score(_unit(as_complex(x)))
-
     best_val = -np.inf
     best_psi = None
+    steps = stationary = 0
     for psi in starts:
-        x = as_real(_unit(psi))
-        val = value(x)
+        x = _as_real(_unit(psi))
+        val, gradient = evaluate(x)
         for _ in range(wopts.max_steps):
-            grad = np.zeros_like(x)
-            for k in range(2 * dim):
-                e = np.zeros_like(x)
-                e[k] = FD_STEP
-                grad[k] = (value(x + e) - value(x - e)) / (2.0 * FD_STEP)
+            grad = gradient()
             grad -= (grad @ x) * x  # tangent component on the unit sphere
             gn = float(np.linalg.norm(grad))
             if gn <= GRAD_NORM_TOL:
+                stationary += 1
                 break
             step = 0.5
             moved = False
             while step > 1e-6:
                 cand = _unit(x + step * grad / gn)
-                cv = value(cand)
+                cv, cg = evaluate(cand)
                 if cv > val + 1e-12:
-                    x, val, moved = cand, cv, True
+                    x, val, gradient, moved = cand, cv, cg, True
                     break
                 step *= 0.5
             if not moved:
                 break
+            steps += 1
         if val > best_val:
-            best_val, best_psi = val, _unit(as_complex(x))
-    return best_val, best_psi
+            best_val, best_psi = val, _unit(_as_complex(x))
+    return best_val, best_psi, steps, stationary
 
 
-def _worst_case(m, n, kind: str, method: str, opts, wopts, ancilla_dim):
+def _difference_gradient(score):
+    """Adapt a value-only ``score`` of the real parametrization to
+    :func:`_sphere_search`: the gradient is taken by central differences
+    with step ``FD_STEP``, 4·dim further scores each."""
+
+    def evaluate(x):
+        def gradient():
+            grad = np.zeros_like(x)
+            for k in range(len(x)):
+                e = np.zeros_like(x)
+                e[k] = FD_STEP
+                grad[k] = (score(x + e) - score(x - e)) / (2.0 * FD_STEP)
+            return grad
+
+        return score(x), gradient
+
+    return evaluate
+
+
+def _cost_gradients(kind: str, omega, cells) -> list:
+    """For each support cell ``(u, v)``, the gradients of its ground cost
+    with respect to ``omega[u]`` and ``omega[v]``.
+
+    Distance ``½‖ω_u − ω_v‖₁``: ``±½ S`` with ``S`` the sign matrix of
+    ``ω_u − ω_v``.  Fidelity: ``∂F/∂ρ = ½ √σ (√σ ρ √σ)^{+½} √σ``, and
+    symmetrically for ``σ``.
+    """
+    if not cells:
+        return []
+    if kind == "distance":
+        w, v = np.linalg.eigh(np.array([omega[u] - omega[t] for u, t in cells]))
+        signs = 0.5 * (v * np.sign(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        return [(s, -s) for s in signs]
+    roots = {u: mat_sqrt_psd(omega[u]) for cell in cells for u in cell}
+
+    def towards(rho, root):
+        return 0.5 * root @ mat_pinv_sqrt_psd(root @ rho @ root) @ root
+
+    return [(towards(omega[u], roots[t]), towards(omega[t], roots[u])) for u, t in cells]
+
+
+def _coupling_gradient(kind: str, psi, outputs, coupling, sides) -> np.ndarray:
+    """Gradient ``2 G psi`` of a coupling value at the pure input ``psi``.
+
+    By the envelope theorem ``dV = Σ π_uv dC_uv + Σ U_u dp_u + Σ W_v dq_v``
+    at the optimal flow ``π`` and potentials ``U``, ``W`` that the solve
+    left on ``coupling``.  An outcome of weight ``w`` with Kraus list
+    ``K_j`` has ``p = w ψ†(Σ K_j†K_j)ψ`` and post-state ``ω = Ã / t``,
+    ``Ã = Σ K_j ψψ† K_j†``; a cost gradient ``A`` on ``ω`` pulls back to
+    ``H = (A − Tr(Aω) I) / t`` on ``Ã``, and ``G`` collects ``U w Σ K†K``
+    and ``Σ K† H K`` over the outcomes.  ``outputs`` are the two output
+    ensembles, ``sides`` the two outcome lists as ``(weight, Kraus list,
+    Σ K†K)``.  Each outcome is taken to the support state it merged into;
+    a support state moves with the outcome it was kept from, the first one
+    on the first side that has it.
+    """
+    support = coupling.support
+    omega, flow = support.omega, coupling.table
+    cells = [(u, v) for u, v in zip(*np.nonzero(flow > 0.0)) if u != v]
+    cost_grad: dict = {}
+    for (u, v), (gu, gv) in zip(cells, _cost_gradients(kind, omega, cells)):
+        cost_grad[u] = cost_grad.get(u, 0.0) + flow[u, v] * gu
+        cost_grad[v] = cost_grad.get(v, 0.0) + flow[u, v] * gv
+
+    eye = np.eye(len(psi))
+    g = np.zeros((len(psi), len(psi)), dtype=complex)
+    offset, seen = 0, set()
+    for ens, outcomes, duals in zip(outputs, sides, (coupling.row_duals, coupling.col_duals)):
+        for k, (w, kraus, gram) in zip(ens.index, outcomes):
+            if k < 0:
+                continue  # zero probability here, and to first order
+            s = int(support.index[offset + k])
+            g += (duals[s] * w) * gram
+            if s in seen:
+                continue
+            seen.add(s)
+            if s in cost_grad:
+                a = cost_grad[s]
+                t = float(np.real(np.vdot(psi, gram @ psi)))
+                h = (a - np.real(np.trace(a @ omega[s])) * eye) / t
+                g += sum(kk.conj().T @ h @ kk for kk in kraus)
+        offset += ens.size
+    return 2.0 * (g @ psi)
+
+
+class _InputScore:
+    """Score of the worst-case search: the signed ensemble measure of the two
+    measurements' outputs at a pure input on ancilla (dim ``a_dim``) ⊗
+    system, with the input given as a unit vector in the real
+    parametrization.
+
+    Calling it at ``x`` returns the score and a function for its gradient,
+    as :func:`_sphere_search` wants.  For ``method="kantorovich"`` the
+    gradient comes from the same solve by :func:`_coupling_gradient`; other
+    methods have no dual certificate and difference the values.
+    ``evaluations`` counts the scores computed.
+    """
+
+    def __init__(self, m, n, kind: str, method: str, opts, a_dim: int):
+        self.lifted = (_lifted(m, a_dim), _lifted(n, a_dim))
+        self.kind, self.method, self.opts = kind, method, opts
+        self.sign = 1.0 if kind == "distance" else -1.0
+        self.evaluations = 0
+        if method == "kantorovich":
+            self.sides = [
+                [(w, kraus, sum(k.conj().T @ k for k in kraus)) for w, kraus in lm.outcomes]
+                for lm in self.lifted
+            ]
+            self._evaluate = self._with_duals
+        else:
+            self._evaluate = _difference_gradient(self.value)
+
+    def __call__(self, x):
+        return self._evaluate(x)
+
+    def outputs(self, x):
+        """The unit input at ``x`` and both output ensembles there."""
+        self.evaluations += 1
+        psi = _unit(_as_complex(x))
+        rho = np.outer(psi, psi.conj())
+        return psi, tuple(apply_measurement(lm, rho) for lm in self.lifted)
+
+    def value(self, x) -> float:
+        _, ens = self.outputs(x)
+        return self.sign * _ensemble_measure(*ens, self.kind, self.method, self.opts)
+
+    def _with_duals(self, x):
+        psi, ens = self.outputs(x)
+        measure = kantorovich_distance if self.kind == "distance" else kantorovich_fidelity
+        value, coupling = measure(*ens)
+        return self.sign * value, lambda: self.sign * _as_real(
+            _coupling_gradient(self.kind, psi, ens, coupling, self.sides)
+        )
+
+
+def _worst_case(m, n, kind: str, method: str, opts, wopts, ancilla_dim) -> WorstCase:
     """Ascent of the distance, or descent of the fidelity, over pure inputs."""
     _check_dims(m, n)
     wopts = WorstCaseOptions() if wopts is None else wopts
@@ -366,20 +547,13 @@ def _worst_case(m, n, kind: str, method: str, opts, wopts, ancilla_dim):
     if a_dim < 1:
         raise InvalidParams(f"ancilla dimension {a_dim}")
     d = m.dim
-    sign = 1.0 if kind == "distance" else -1.0
-    lifted_m, lifted_n = _lifted(m, a_dim), _lifted(n, a_dim)
-
-    def score(psi):
-        rho = np.outer(psi, psi.conj())
-        ea, eb = apply_measurement(lifted_m, rho), apply_measurement(lifted_n, rho)
-        return sign * _ensemble_measure(ea, eb, kind, method, opts)
-
+    score = _InputScore(m, n, kind, method, opts, a_dim)
     phi = np.zeros(a_dim * d, dtype=complex)
     for j in range(min(a_dim, d)):
         phi[j * d + j] = 1.0
     phi = _unit(phi)
-    val, psi = _sphere_search(score, a_dim * d, wopts, [phi])
-    return float(sign * val), psi
+    val, psi, steps, stationary = _sphere_search(score, a_dim * d, wopts, [phi])
+    return WorstCase(float(score.sign * val), psi, steps, score.evaluations, stationary)
 
 
 def dist_max(
@@ -389,13 +563,14 @@ def dist_max(
     opts: SolverOptions | None = None,
     wopts: WorstCaseOptions | None = None,
     ancilla_dim: int | None = None,
-):
+) -> WorstCase:
     """Worst-case ensemble distance over pure inputs on ancilla ⊗ system.
 
     Multi-start local ascent; the returned value is a lower bound on the
     true maximum and the maximally entangled input is always among the
     starts, so the value dominates the fixed-input distance evaluated there.
-    Returns ``(value, argmax state)``.
+    Returns a :class:`WorstCase`, which unpacks as ``(value, argmax
+    state)``.
     """
     return _worst_case(m, n, "distance", method, opts, wopts, ancilla_dim)
 
@@ -407,9 +582,10 @@ def fid_min(
     opts: SolverOptions | None = None,
     wopts: WorstCaseOptions | None = None,
     ancilla_dim: int | None = None,
-):
+) -> WorstCase:
     """Worst-case ensemble fidelity over pure inputs; upper bound on the
-    true minimum.  Returns ``(value, argmin state)``."""
+    true minimum.  Returns a :class:`WorstCase`, which unpacks as
+    ``(value, argmin state)``."""
     return _worst_case(m, n, "fidelity", method, opts, wopts, ancilla_dim)
 
 

@@ -274,18 +274,22 @@ def cmd_channel(args) -> int:
             restarts=args.worst_restarts, max_steps=args.worst_steps, seed=args.seed
         )
         name, search = ("dist_max", dist_max) if kind == "distance" else ("fid_min", fid_min)
-        value, state = search(m, n, args.method, _solver_options(args), wopts)
+        found = search(m, n, args.method, _solver_options(args), wopts)
         report = {
             "inputs": {"a": digests[0], "b": digests[1]},
             "measure": name,
             "method": args.method,
-            "value": _sig12(value),
-            "state": [[_sig12(z.real), _sig12(z.imag)] for z in state],
+            "value": _sig12(found.value),
+            "state": [[_sig12(z.real), _sig12(z.imag)] for z in found.state],
             "solver": {
-                "converged": True,  # best-effort bound by contract
-                "iterations": args.worst_steps,
+                # a local search: the value bounds the worst case from one side
+                "bound": "lower" if kind == "distance" else "upper",
+                "evaluations": found.evaluations,
+                "iterations": found.iterations,
+                "max_steps": args.worst_steps,
                 "restarts": args.worst_restarts,
                 "seed": args.seed,
+                "stationary_starts": found.stationary_starts,
             },
         }
         code = EXIT_OK

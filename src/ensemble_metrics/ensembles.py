@@ -54,10 +54,15 @@ def pure_state(vec: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Probability distribution over pairwise-distinct density matrices."""
+    """Probability distribution over pairwise-distinct density matrices.
+
+    ``index``, when the ensemble was built from a list of pairs, gives for
+    each pair the state it went into, or -1 for a pair that was dropped.
+    """
 
     states: tuple[np.ndarray, ...]
     probs: np.ndarray
+    index: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -73,22 +78,26 @@ class Ensemble:
 
 def merge_near_equal(
     states: Sequence[np.ndarray], weights
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Indices of the states kept, their summed weights, and the trace
-    distances between all the given states: walking in order, a state
-    within 1e-9 in trace distance of a kept one adds its weight (a number
-    or a row) to the first such state."""
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Indices of the states kept, their summed weights, the trace
+    distances between all the given states, and for each given state the
+    position in the kept list of the state it went into: walking in order,
+    a state within 1e-9 in trace distance of a kept one adds its weight (a
+    number or a row) to the first such state."""
     dist = pairwise_matrix(states, "distance")
     kept: list[int] = []
     sums: list = []
+    index = np.empty(len(states), dtype=int)
     for i, w in enumerate(weights):
         near = np.flatnonzero(dist[i, kept] <= DISTINCT_TOL)
         if near.size:
+            index[i] = near[0]
             sums[near[0]] = sums[near[0]] + w
         else:
+            index[i] = len(kept)
             kept.append(i)
             sums.append(w)
-    return kept, np.asarray(sums, dtype=float), dist
+    return kept, np.asarray(sums, dtype=float), dist, index
 
 
 def make_ensemble(pairs: Iterable[tuple[float, np.ndarray]]) -> Ensemble:
@@ -96,12 +105,15 @@ def make_ensemble(pairs: Iterable[tuple[float, np.ndarray]]) -> Ensemble:
 
     Zero-probability entries are dropped, states closer than 1e-9 in trace
     distance are merged (first occurrence kept) and the probabilities are
-    renormalized when their sum is within 1e-8 of one.
+    renormalized when their sum is within 1e-8 of one.  ``index`` records
+    where each pair went.
     """
+    pairs = list(pairs)
     states: list[np.ndarray] = []
     probs: list[float] = []
+    taken: list[int] = []
     dim = None
-    for p, mat in pairs:
+    for k, (p, mat) in enumerate(pairs):
         p = float(p)
         if not np.isfinite(p):
             raise InvalidState(f"non-finite probability {p}")
@@ -116,24 +128,29 @@ def make_ensemble(pairs: Iterable[tuple[float, np.ndarray]]) -> Ensemble:
             raise DimMismatch("states of mixed dimension in one ensemble")
         states.append(mat)
         probs.append(p)
+        taken.append(k)
     if not states:
         raise EmptyEnsemble("no states with positive probability")
-    kept, merged, _ = merge_near_equal(states, probs)
+    kept, merged, _, into = merge_near_equal(states, probs)
     total = float(sum(merged))
     if abs(total - 1.0) > PROB_TOL:
         raise InvalidState(f"probabilities sum to {total}, expected 1")
-    return Ensemble(tuple(states[i] for i in kept), merged / total)
+    index = np.full(len(pairs), -1)
+    index[taken] = into
+    return Ensemble(tuple(states[i] for i in kept), merged / total, index)
 
 
 @dataclass(frozen=True, eq=False)
 class SupportPair:
     """Two distributions over a shared list of distinct states, with the
-    pairwise trace distances of those states."""
+    pairwise trace distances of those states.  ``index`` gives the support
+    position of each state of the first ensemble, then of the second."""
 
     omega: tuple[np.ndarray, ...]
     p: np.ndarray
     q: np.ndarray
     dist: np.ndarray
+    index: np.ndarray
 
 
 def unify_support(a: Ensemble, b: Ensemble) -> SupportPair:
@@ -150,9 +167,9 @@ def unify_support(a: Ensemble, b: Ensemble) -> SupportPair:
     states = a.states + b.states
     weights = np.zeros((len(states), 2))
     weights[: a.size, 0], weights[a.size :, 1] = a.probs, b.probs
-    kept, pq, dist = merge_near_equal(states, weights)
+    kept, pq, dist, index = merge_near_equal(states, weights)
     return SupportPair(
-        tuple(states[i] for i in kept), pq[:, 0], pq[:, 1], dist[np.ix_(kept, kept)]
+        tuple(states[i] for i in kept), pq[:, 0], pq[:, 1], dist[np.ix_(kept, kept)], index
     )
 
 

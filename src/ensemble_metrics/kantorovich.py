@@ -11,12 +11,12 @@ only, and recomputed from scratch before optimality is declared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .ensembles import Ensemble, check_density, unify_support
+from .ensembles import Ensemble, SupportPair, check_density, unify_support
 from .errors import LengthMismatch
 from .linalg import fidelity, pairwise_matrix, trace_distance
 
@@ -26,9 +26,19 @@ _PIVOT_CAP = 20000
 
 @dataclass(frozen=True, eq=False)
 class Coupling:
-    """Nonnegative joint table over a shared support, marginals fixed."""
+    """Nonnegative joint table over a shared support, marginals fixed.
+
+    A solved coupling also carries the optimal dual potentials, indexed like
+    the row and column marginals: ``row_duals[i] + col_duals[j]`` equals
+    the cost on every basic cell, and the value is ``row_duals @ p +
+    col_duals @ q``.  ``support`` is the unified support of the two
+    ensembles, when the coupling came from a pair of ensembles.
+    """
 
     table: np.ndarray
+    row_duals: np.ndarray | None = None
+    col_duals: np.ndarray | None = None
+    support: SupportPair | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,9 +55,10 @@ def transportation_lp(
     """Exact optimum of a transportation problem with marginals ``p`` and ``q``.
 
     Returns a basic feasible solution (a vertex of the transportation
-    polytope) and the number of simplex pivots taken.  ``status`` is
-    ``"degenerate-resolved"`` when some pivot moved no flow; the strongly
-    feasible basis keeps such pivots from cycling.
+    polytope) with its dual potentials, and the number of simplex pivots
+    taken.  Rows and columns with zero mass get zero potentials.
+    ``status`` is ``"degenerate-resolved"`` when some pivot moved no flow;
+    the strongly feasible basis keeps such pivots from cycling.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -70,11 +81,15 @@ def transportation_lp(
     c = cost[np.ix_(rows, cols)]
     if sense == "max":
         c = -c
-    sub, iterations, status = _simplex(p[rows], q[cols], c)
+    sub, iterations, status, (u, v) = _simplex(p[rows], q[cols], c)
     table = np.zeros((len(p), len(q)))
     table[np.ix_(rows, cols)] = sub
     value = float(np.sum(table * cost))
-    return LpSolution(value, Coupling(table), iterations, status)
+    # the potentials of the negated cost flip sign for a maximum
+    sign = 1.0 if sense == "min" else -1.0
+    row_duals, col_duals = np.zeros(len(p)), np.zeros(len(q))
+    row_duals[rows], col_duals[cols] = sign * u, sign * v
+    return LpSolution(value, Coupling(table, row_duals, col_duals), iterations, status)
 
 
 def _northwest_corner(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[float]]:
@@ -146,8 +161,16 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, watch=None):
     Programming 11 (1976); Ahuja, Magnanti and Orlin, *Network Flows*
     (1993), §11.5.  ``watch``, if given, sees ``(parent, flow)`` after
     every pivot.
+
+    ``b`` is first scaled to the total of ``a`` unless the totals are
+    equal bit for bit, so that no mass is left off the staircase.  Returns
+    the table, the pivot count, the status and the optimal potentials
+    ``(u, v)``, with ``u_i + v_j = cost_ij`` on every tree cell.
     """
     m, n = cost.shape
+    total_a, total_b = a.sum(), b.sum()
+    if total_a != total_b:
+        b = b * (total_a / total_b)
     parent, flow = _northwest_corner(a, b)
     children: list[list[int]] = [[] for _ in range(m + n)]
     for x in range(1, m + n):
@@ -233,7 +256,8 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, watch=None):
     table = np.zeros((m, n))
     for x in range(1, m + n):
         table[cell(x)] = flow[x]
-    return table, iterations, "degenerate-resolved" if degenerate else "optimal"
+    status = "degenerate-resolved" if degenerate else "optimal"
+    return table, iterations, status, (pot[:m], -pot[m:])
 
 
 def coupling_lp(a: Ensemble, b: Ensemble, kind: str = "distance") -> LpSolution:
@@ -241,11 +265,14 @@ def coupling_lp(a: Ensemble, b: Ensemble, kind: str = "distance") -> LpSolution:
 
     ``kind`` picks the ground cost: pairwise trace distance (minimized) or
     pairwise fidelity (maximized).  Same-index diagonal entries are exact.
+    The coupling carries the unified support it is indexed by.
     """
     sp = unify_support(a, b)
     if kind == "distance":
-        return transportation_lp(sp.p, sp.q, sp.dist, "min")
-    return transportation_lp(sp.p, sp.q, pairwise_matrix(sp.omega, kind), "max")
+        sol = transportation_lp(sp.p, sp.q, sp.dist, "min")
+    else:
+        sol = transportation_lp(sp.p, sp.q, pairwise_matrix(sp.omega, kind), "max")
+    return replace(sol, coupling=replace(sol.coupling, support=sp))
 
 
 def _coupling_value(a: Ensemble, b: Ensemble, kind: str) -> tuple[float, Coupling]:

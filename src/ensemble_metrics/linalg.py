@@ -94,6 +94,19 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(pairwise_matrix((rho, sigma), "distance")[0, 1])
 
 
+def _psd_spectrum(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a PSD Hermitian matrix, with the
+    cut-offs of :func:`mat_sqrt_psd`."""
+    dec = herm_eig(a)
+    w = dec.eigenvalues
+    if float(np.min(w)) < PSD_TOL:
+        raise NotPSD(f"minimum eigenvalue {np.min(w):.3e}")
+    w = np.clip(w, 0.0, None)
+    if float(w.max()) > 0.0:
+        w[w <= 1e-14 * w.max()] = 0.0
+    return w, dec.eigenvectors
+
+
 def mat_sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix.
 
@@ -102,15 +115,19 @@ def mat_sqrt_psd(a: np.ndarray) -> np.ndarray:
     rank-deficient inputs do not pick up O(sqrt(eps)) dust in the null
     space.
     """
-    dec = herm_eig(a)
-    w = dec.eigenvalues
-    if float(np.min(w)) < PSD_TOL:
-        raise NotPSD(f"minimum eigenvalue {np.min(w):.3e}")
-    w = np.clip(w, 0.0, None)
-    if float(w.max()) > 0.0:
-        w[w <= 1e-14 * w.max()] = 0.0
-    v = dec.eigenvectors
+    w, v = _psd_spectrum(a)
     return (v * np.sqrt(w)) @ v.conj().T
+
+
+def mat_pinv_sqrt_psd(a: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of the square root of a PSD Hermitian matrix.
+
+    Same cut-offs as :func:`mat_sqrt_psd`: the eigenvalues it zeroes stay
+    zero, and every other one becomes ``1/sqrt(w)``.
+    """
+    w, v = _psd_spectrum(a)
+    pos = w > 0.0
+    return (v[:, pos] / np.sqrt(w[pos])) @ v[:, pos].conj().T
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -3,6 +3,8 @@ import pytest
 
 from ensemble_metrics.channels import (
     WorstCaseOptions,
+    _as_real,
+    _InputScore,
     _lifted,
     apply_measurement,
     compose_measurements,
@@ -250,6 +252,82 @@ def test_dist_max_system_only_ancilla():
     assert value <= dist_max(z, x, wopts=WorstCaseOptions(restarts=2, max_steps=20))[0] + 1e-6
     with pytest.raises(InvalidParams):
         dist_max(z, x, ancilla_dim=0)
+
+
+def _gradient_gap(score, x, h=1e-6):
+    """Relative gap between the tangent part of the gradient that ``score``
+    returns at the unit vector ``x`` and central differences of its values;
+    also the norm of the differences."""
+    _, gradient = score(x)
+    grad = gradient()
+    diff = np.array([(score(x + h * e)[0] - score(x - h * e)[0]) / (2 * h) for e in np.eye(len(x))])
+    grad, diff = (g - (g @ x) * x for g in (grad, diff))
+    norm = float(np.linalg.norm(diff))
+    return float(np.linalg.norm(grad - diff)) / norm, norm
+
+
+def _random_input(dim, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return _as_real(psi / np.linalg.norm(psi))
+
+
+@pytest.mark.parametrize("kind", ["distance", "fidelity"])
+@pytest.mark.parametrize("d, kraus", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_coupling_gradient_matches_central_differences(d, kraus, kind):
+    m = random_measurement(d, 2, seed=60 + d + kraus, kraus_per_outcome=kraus)
+    n = random_measurement(d, 3, seed=70 + d + kraus, kraus_per_outcome=kraus)
+    score = _InputScore(m, n, kind, "kantorovich", None, d)
+    gap, norm = _gradient_gap(score, _random_input(d * d, 80 + d + kraus))
+    assert norm > 1e-3
+    assert gap <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ["distance", "fidelity"])
+def test_coupling_gradient_follows_a_shared_outcome(kind):
+    # n's second outcome is m's first, so unify_support merges the two at
+    # every input; n's first outcome has m's second POVM element but other
+    # post-states
+    m = random_measurement(2, 2, seed=91)
+    (w0, k0), (w1, k1) = m.outcomes
+    u = random_unitary(2, seed=92)
+    n = make_measurement([(w1, [u @ k for k in k1]), (w0, k0)])
+    score = _InputScore(m, n, kind, "kantorovich", None, 2)
+    x = _random_input(4, 93)
+    _, outputs = score.outputs(x)
+    support = kantorovich_distance(*outputs)[1].support
+    assert len(support.omega) == 3 and support.index[3] == support.index[0]
+    gap, norm = _gradient_gap(score, x)
+    assert norm > 1e-3
+    assert gap <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ["distance", "fidelity"])
+def test_coupling_gradient_at_the_system_only_start(kind):
+    # with ancilla_dim=1 the search starts at |0>, where Z's second outcome
+    # has zero probability and is dropped from the output ensemble
+    n = random_measurement(2, 2, seed=94)
+    score = _InputScore(_z_meas(), n, kind, "kantorovich", None, 1)
+    x = _as_real(E0.astype(complex))
+    _, outputs = score.outputs(x)
+    assert outputs[0].index.tolist() == [0, -1]
+    gap, norm = _gradient_gap(score, x)
+    assert norm > 1e-3
+    assert gap <= 1e-6
+
+
+def test_worst_case_evaluation_counts():
+    # Z vs X at 2 restarts and 12 steps.  With the gradient from the
+    # coupling's flow and duals this took 249 (dist) and 220 (fid) score
+    # evaluations, central differences 668 and 620; the bounds allow 25%
+    # over the measured counts.
+    z, x = _z_meas(), _x_meas()
+    wopts = WorstCaseOptions(restarts=2, max_steps=12)
+    for search, bound in ((dist_max, 311), (fid_min, 275)):
+        found = search(z, x, wopts=wopts)
+        assert found.evaluations <= bound, search.__name__
+        assert found.evaluations > found.iterations + 3  # three starts, one score each
+        assert 0 <= found.stationary_starts <= 3
 
 
 def _direct_measure(kind, method):

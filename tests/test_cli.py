@@ -72,6 +72,22 @@ def test_solver_reports_are_byte_reproducible():
     assert first.stdout == second.stdout == (GOLDEN / "dist_rand_ehs.json").read_bytes()
 
 
+@pytest.mark.parametrize("measure, bound", [("dist", "lower"), ("fid", "upper")])
+def test_worst_case_report_says_what_the_search_did(measure, bound, capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    argv = ["channel", "measz.json", "measx.json", "--compare", "worst", "--measure", measure,
+            "--worst-restarts", "1", "--worst-steps", "3"]
+    assert main(_expand(argv)) == 0
+    solver = json.loads(capsys.readouterr().out)["solver"]
+    assert "converged" not in solver
+    assert solver["bound"] == bound
+    assert (solver["max_steps"], solver["restarts"]) == (3, 1)
+    # two starts: at most three steps each, and one score per start and step
+    assert 0 <= solver["iterations"] <= 6
+    assert solver["evaluations"] >= solver["iterations"] + 2
+    assert 0 <= solver["stationary_starts"] <= 2
+
+
 @pytest.mark.parametrize(
     "path",
     ["notjson.txt", "truncated.json", "badversion.json", "badfield.json", "missing.json"],

@@ -315,7 +315,7 @@ def test_basis_stays_strongly_feasible_after_every_pivot(make):
         cost = cost if trial % 2 else -cost
         assert _zero_flow_cells_point_to_root(*_northwest_corner(p, q), m)
         trees = []
-        _, iterations, _ = _simplex(
+        _, iterations, _, _ = _simplex(
             p, q, cost, lambda parent, flow: trees.append(_zero_flow_cells_point_to_root(parent, flow, m))
         )
         assert len(trees) == iterations and all(trees)
@@ -331,3 +331,56 @@ def test_pivot_count_pins_dantzig_pricing():
     b = random_ensemble(8, 32, seed=2)
     assert coupling_lp(a, b, "distance").iterations <= 121
     assert coupling_lp(a, b, "fidelity").iterations <= 144
+
+
+@pytest.mark.parametrize("make", DEGENERATE, ids=["uniform-0-1-2", "repeated", "shared-states"])
+def test_duals_certify_the_optimum_on_ties(make):
+    rng = np.random.default_rng(31)
+    for trial in range(120):
+        m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        p, q, cost = make(rng, m, n)
+        for sense, side in (("min", 1.0), ("max", -1.0)):
+            sol = transportation_lp(p, q, cost, sense)
+            u, w = sol.coupling.row_duals, sol.coupling.col_duals
+            reduced = cost - u[:, None] - w[None, :]
+            flow = sol.coupling.table > 0.0
+            assert np.abs(reduced[flow]).max() <= 1e-12, (trial, sense)
+            assert (side * reduced).min() >= -1e-12, (trial, sense)
+            assert abs(u @ p + w @ q - lp_vertex_oracle(p, q, cost, sense)) <= 1e-12, (trial, sense)
+
+
+def test_duals_of_zero_mass_rows_and_columns_are_zero():
+    p = np.array([0.0, 0.6, 0.4])
+    q = np.array([0.5, 0.0, 0.5])
+    cost = np.arange(9, dtype=float).reshape(3, 3)
+    for sense in ("min", "max"):
+        sol = transportation_lp(p, q, cost, sense)
+        u, w = sol.coupling.row_duals, sol.coupling.col_duals
+        assert u[0] == 0.0 and w[1] == 0.0
+        assert abs(u @ p + w @ q - sol.value) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "p, q, cost",
+    [
+        ([1.0], [1.0, 5e-9], [[0.0, 1.0]]),
+        ([0.5, 0.5], [0.5, 0.5 + 4e-9], [[1.0, 0.0], [0.0, 1.0]]),
+        ([0.5, 0.5], [0.5, 0.5 - 4e-9], [[1.0, 0.0], [0.0, 1.0]]),
+    ],
+    ids=["one-row", "2x2-over", "2x2-under"],
+)
+def test_unequal_marginal_totals_keep_every_mass(p, q, cost):
+    # the totals differ by less than the 1e-8 the input check allows; the
+    # columns are scaled to the rows' total, so no mass is left off
+    p, q, cost = np.array(p), np.array(q), np.array(cost)
+    scaled = q * (p.sum() / q.sum())
+    table = transportation_lp(p, q, cost).coupling.table
+    assert np.abs(table.sum(axis=1) - p).max() <= 1e-15
+    assert np.abs(table.sum(axis=0) - scaled).max() <= 1e-15
+    assert _zero_flow_cells_point_to_root(*_northwest_corner(p, scaled), len(p))
+    trees = []
+    table, iterations, _, _ = _simplex(
+        p, q, cost, lambda parent, flow: trees.append(_zero_flow_cells_point_to_root(parent, flow, len(p)))
+    )
+    assert np.abs(table.sum(axis=0) - scaled).max() <= 1e-15
+    assert len(trees) == iterations >= len(p) - 1 and all(trees)

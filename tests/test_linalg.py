@@ -7,6 +7,7 @@ from ensemble_metrics.linalg import (
     fidelity,
     helstrom_pmax,
     herm_eig,
+    mat_pinv_sqrt_psd,
     mat_sqrt_psd,
     pairwise_matrix,
     partial_trace,
@@ -158,6 +159,20 @@ def test_mat_sqrt_psd_squares_back():
         assert np.allclose(r @ r, rho, atol=1e-10)
     with pytest.raises(NotPSD):
         mat_sqrt_psd(np.diag([1.0, -0.5]))
+
+
+def test_mat_pinv_sqrt_psd_inverts_the_root_on_the_support():
+    # rank 2 of 4: the root and its pseudo-inverse multiply to the
+    # projector onto the support, and the null space stays null
+    g = _rand_density(4, 7)[:, :2]
+    a = g @ g.conj().T
+    proj = g @ np.linalg.pinv(g)
+    inv = mat_pinv_sqrt_psd(a)
+    assert np.allclose(inv @ mat_sqrt_psd(a), proj, atol=1e-9)
+    assert np.allclose(inv @ a @ inv, proj, atol=1e-9)
+    assert np.abs(inv @ (np.eye(4) - proj)).max() <= 1e-6
+    with pytest.raises(NotPSD):
+        mat_pinv_sqrt_psd(np.diag([1.0, -0.5]))
 
 
 def test_von_neumann_entropy_limits():
