@@ -136,7 +136,7 @@ def make_measurement(outcomes) -> GeneralizedMeasurement:
         raise InvalidMeasurement(f"completeness residual norm {residual:.3e}")
 
     chois = [_choi_state(kraus, dim) for _, kraus in cleaned]
-    kept, weights, _, _ = merge_near_equal(chois, [w for w, _ in cleaned])
+    kept, weights, _ = merge_near_equal(chois, [w for w, _ in cleaned])
     merged = tuple((float(w), cleaned[i][1]) for i, w in zip(kept, weights))
     return GeneralizedMeasurement(merged, dim)
 

@@ -16,6 +16,7 @@ reproduce a report byte for byte.  Exit codes: 0 ok, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -368,15 +369,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of :func:`main` and kept for the
+    process; each parse starts from a fresh namespace, so no option carries
+    over between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse reports its own errors with code 2
         return int(exc.code or 0)
     try:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
-        return args.func(args)
+        # overflow from extreme inputs fails a check with its own message;
+        # numpy's warning about it would be one more line on stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

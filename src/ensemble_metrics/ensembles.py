@@ -15,30 +15,53 @@ import numpy as np
 from .errors import (
     DimMismatch,
     EmptyEnsemble,
+    EnsembleMetricsError,
     InvalidState,
     OutOfRange,
     PointerReuse,
     WeightMismatch,
 )
-from .linalg import as_operator, pairwise_matrix, von_neumann_entropy
+from .linalg import as_operator, pair_values, von_neumann_entropy
 
 PROB_TOL = 1e-8
 DISTINCT_TOL = 1e-9
 STATE_TOL = 1e-10
 
 
+def _first_invalid(stack: np.ndarray) -> Exception | None:
+    """The error :func:`check_density` raises for the first matrix of a
+    stack of square matrices that is not a density matrix, or None.  The
+    checks run stacked; each matrix's first failing check decides its
+    error."""
+    finite = np.all(np.isfinite(stack), axis=(1, 2))
+    n = int(np.argmin(finite)) if not finite.all() else len(stack)
+    head = stack[:n]
+    herm = np.max(np.abs(head - head.conj().swapaxes(1, 2)), axis=(1, 2), initial=0.0)
+    tr = np.trace(head, axis1=1, axis2=2)
+    tr_err = np.abs(tr.real - 1.0) + np.abs(tr.imag)
+    wmin = np.zeros(n)
+    ok = (herm <= STATE_TOL) & (tr_err <= STATE_TOL)
+    if ok.any():
+        wmin[ok] = np.min(np.linalg.eigvalsh(head[ok]), axis=1)
+    bad = ~ok | (wmin < -STATE_TOL)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if herm[k] > STATE_TOL:
+            return InvalidState(f"not Hermitian: max|m - m†| = {herm[k]:.3e}")
+        if tr_err[k] > STATE_TOL:
+            return InvalidState(f"trace differs from 1 by {tr_err[k]:.3e}")
+        return InvalidState(f"negative eigenvalue {wmin[k]:.3e}")
+    if n < len(stack):
+        return ValueError("matrix entries must be finite")
+    return None
+
+
 def check_density(mat: np.ndarray) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD, unit trace (tol 1e-10)."""
     mat = as_operator(mat)
-    herm_err = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm_err > STATE_TOL:
-        raise InvalidState(f"not Hermitian: max|m - m†| = {herm_err:.3e}")
-    tr_err = abs(float(np.trace(mat).real) - 1.0) + abs(float(np.trace(mat).imag))
-    if tr_err > STATE_TOL:
-        raise InvalidState(f"trace differs from 1 by {tr_err:.3e}")
-    wmin = float(np.min(np.linalg.eigvalsh(mat)))
-    if wmin < -STATE_TOL:
-        raise InvalidState(f"negative eigenvalue {wmin:.3e}")
+    error = _first_invalid(mat[None])
+    if error is not None:
+        raise error
     return mat
 
 
@@ -76,28 +99,73 @@ class Ensemble:
         return iter(zip(self.probs, self.states))
 
 
+# The merge screen.  Half the Frobenius norm of the Hermitian part of a
+# difference never exceeds its trace distance, so only pairs within twice
+# DISTINCT_TOL in it take the exact trace distance; the factor 2 covers the
+# screen's roundoff.
+_SCREEN_TOL = 2.0 * DISTINCT_TOL
+_SCREEN_BLOCK = 64
+
+
+def _near_pairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``i < j`` of a stack of states within 1e-9 in trace distance.
+
+    The screen ``½‖H‖_F <= 2e-9``, with ``H`` the Hermitian part of the
+    difference, is computed from the differences themselves: through a
+    Gram matrix, cancellation would leave errors far above 1e-9.  It runs only
+    on pairs whose projections on one fixed unit direction lie within
+    ``2 · 2e-9`` (Cauchy–Schwarz: no pair that passes is left out), which
+    one sort finds.  The pairs that pass take the exact trace distance,
+    computed lower index first as :func:`pairwise_matrix` does.
+    """
+    n = len(stack)
+    herm = (stack + stack.conj().swapaxes(1, 2)) / 2.0
+    v = herm.reshape(n, -1).view(float)
+    direction = np.sin(np.arange(1.0, v.shape[1] + 1.0))
+    shadow = v @ (direction / np.linalg.norm(direction))
+    order = np.argsort(shadow, kind="stable")
+    reach = np.searchsorted(shadow[order], shadow[order] + 2.0 * _SCREEN_TOL, side="right")
+    pairs = np.array(
+        [(order[a], order[b]) for a in range(n) for b in range(a + 1, reach[a])], dtype=int
+    ).reshape(-1, 2)
+    pairs.sort(axis=1)
+    first, second = pairs.T
+    keep = np.empty(len(first), dtype=bool)
+    for s in range(0, len(first), _SCREEN_BLOCK):
+        diff = v[first[s : s + _SCREEN_BLOCK]] - v[second[s : s + _SCREEN_BLOCK]]
+        squares = np.einsum("ij,ij->i", diff, diff)
+        keep[s : s + _SCREEN_BLOCK] = squares <= (2.0 * _SCREEN_TOL) ** 2
+    first, second = first[keep], second[keep]
+    near = pair_values(stack, first, second, "distance") <= DISTINCT_TOL
+    return first[near], second[near]
+
+
 def merge_near_equal(
     states: Sequence[np.ndarray], weights
-) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-    """Indices of the states kept, their summed weights, the trace
-    distances between all the given states, and for each given state the
-    position in the kept list of the state it went into: walking in order,
-    a state within 1e-9 in trace distance of a kept one adds its weight (a
-    number or a row) to the first such state."""
-    dist = pairwise_matrix(states, "distance")
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Indices of the states kept, their summed weights, and for each given
+    state the position in the kept list of the state it went into: walking
+    in order, a state within 1e-9 in trace distance of a kept one adds its
+    weight (a number or a row) to the first such state."""
+    stack = np.asarray(states, dtype=complex)
+    first, second = _near_pairs(stack)
+    near: dict[int, list[int]] = {}
+    for k, i in sorted(zip(first.tolist(), second.tolist())):
+        near.setdefault(i, []).append(k)
+    position: dict[int, int] = {}
     kept: list[int] = []
     sums: list = []
-    index = np.empty(len(states), dtype=int)
+    index = np.empty(len(stack), dtype=int)
     for i, w in enumerate(weights):
-        near = np.flatnonzero(dist[i, kept] <= DISTINCT_TOL)
-        if near.size:
-            index[i] = near[0]
-            sums[near[0]] = sums[near[0]] + w
-        else:
-            index[i] = len(kept)
+        into = next((position[k] for k in near.get(i, ()) if k in position), None)
+        if into is None:
+            into = position[i] = len(kept)
             kept.append(i)
             sums.append(w)
-    return kept, np.asarray(sums, dtype=float), dist, index
+        else:
+            sums[into] = sums[into] + w
+        index[i] = into
+    return kept, np.asarray(sums, dtype=float), index
 
 
 def make_ensemble(pairs: Iterable[tuple[float, np.ndarray]]) -> Ensemble:
@@ -106,50 +174,62 @@ def make_ensemble(pairs: Iterable[tuple[float, np.ndarray]]) -> Ensemble:
     Zero-probability entries are dropped, states closer than 1e-9 in trace
     distance are merged (first occurrence kept) and the probabilities are
     renormalized when their sum is within 1e-8 of one.  ``index`` records
-    where each pair went.
+    where each pair went.  The states are validated in one stacked pass;
+    the error raised is that of the first bad entry in input order.
     """
     pairs = list(pairs)
-    states: list[np.ndarray] = []
+    mats: list[np.ndarray] = []
     probs: list[float] = []
     taken: list[int] = []
-    dim = None
+    stop = None
     for k, (p, mat) in enumerate(pairs):
-        p = float(p)
-        if not np.isfinite(p):
-            raise InvalidState(f"non-finite probability {p}")
-        if p < -PROB_TOL:
-            raise InvalidState(f"negative probability {p}")
-        if p <= 0.0:
-            continue
-        mat = check_density(mat)
-        if dim is None:
-            dim = mat.shape[0]
-        elif mat.shape[0] != dim:
-            raise DimMismatch("states of mixed dimension in one ensemble")
-        states.append(mat)
+        try:
+            p = float(p)
+            if not np.isfinite(p):
+                raise InvalidState(f"non-finite probability {p}")
+            if p < -PROB_TOL:
+                raise InvalidState(f"negative probability {p}")
+            if p <= 0.0:
+                continue
+            mat = np.asarray(mat, dtype=complex)
+            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+                raise DimMismatch(f"expected a square matrix, got shape {mat.shape}")
+            if mats and mat.shape != mats[0].shape:
+                check_density(mat)
+                raise DimMismatch("states of mixed dimension in one ensemble")
+        except (EnsembleMetricsError, TypeError, ValueError) as exc:
+            # raised once the entries before this one have passed their checks
+            stop = exc
+            break
+        mats.append(mat)
         probs.append(p)
         taken.append(k)
-    if not states:
+    stack = np.asarray(mats)
+    error = _first_invalid(stack) if mats else None
+    if error is not None:
+        raise error
+    if stop is not None:
+        raise stop
+    if not mats:
         raise EmptyEnsemble("no states with positive probability")
-    kept, merged, _, into = merge_near_equal(states, probs)
+    kept, merged, into = merge_near_equal(stack, probs)
     total = float(sum(merged))
     if abs(total - 1.0) > PROB_TOL:
         raise InvalidState(f"probabilities sum to {total}, expected 1")
     index = np.full(len(pairs), -1)
     index[taken] = into
-    return Ensemble(tuple(states[i] for i in kept), merged / total, index)
+    return Ensemble(tuple(stack[kept]), merged / total, index)
 
 
 @dataclass(frozen=True, eq=False)
 class SupportPair:
-    """Two distributions over a shared list of distinct states, with the
-    pairwise trace distances of those states.  ``index`` gives the support
-    position of each state of the first ensemble, then of the second."""
+    """Two distributions over a shared list of distinct states.  ``index``
+    gives the support position of each state of the first ensemble, then
+    of the second."""
 
     omega: tuple[np.ndarray, ...]
     p: np.ndarray
     q: np.ndarray
-    dist: np.ndarray
     index: np.ndarray
 
 
@@ -158,19 +238,15 @@ def unify_support(a: Ensemble, b: Ensemble) -> SupportPair:
 
     States of ``a`` come first in their original order; states of ``b`` not
     already present (within 1e-9 trace distance) are appended in order, so
-    the result is deterministic.  ``dist`` is sliced from the trace
-    distances the merge computed, and equals ``pairwise_matrix(omega,
-    "distance")``.
+    the result is deterministic.
     """
     if a.dim != b.dim:
         raise DimMismatch(f"ensembles of dimension {a.dim} and {b.dim}")
     states = a.states + b.states
     weights = np.zeros((len(states), 2))
     weights[: a.size, 0], weights[a.size :, 1] = a.probs, b.probs
-    kept, pq, dist, index = merge_near_equal(states, weights)
-    return SupportPair(
-        tuple(states[i] for i in kept), pq[:, 0], pq[:, 1], dist[np.ix_(kept, kept)], index
-    )
+    kept, pq, index = merge_near_equal(states, weights)
+    return SupportPair(tuple(states[i] for i in kept), pq[:, 0], pq[:, 1], index)
 
 
 def average_state(e: Ensemble) -> np.ndarray:

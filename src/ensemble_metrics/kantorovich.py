@@ -18,7 +18,7 @@ import numpy as np
 
 from .ensembles import Ensemble, SupportPair, check_density, unify_support
 from .errors import LengthMismatch
-from .linalg import fidelity, pairwise_matrix, trace_distance
+from .linalg import fidelity, pairwise_block, trace_distance
 
 _RC_TOL = 1e-12
 _PIVOT_CAP = 20000
@@ -265,13 +265,15 @@ def coupling_lp(a: Ensemble, b: Ensemble, kind: str = "distance") -> LpSolution:
 
     ``kind`` picks the ground cost: pairwise trace distance (minimized) or
     pairwise fidelity (maximized).  Same-index diagonal entries are exact.
+    The cost is evaluated only on the rows and columns with mass, the cells
+    a coupling can use, and equals ``pairwise_matrix(omega, kind)`` there.
     The coupling carries the unified support it is indexed by.
     """
     sp = unify_support(a, b)
-    if kind == "distance":
-        sol = transportation_lp(sp.p, sp.q, sp.dist, "min")
-    else:
-        sol = transportation_lp(sp.p, sp.q, pairwise_matrix(sp.omega, kind), "max")
+    rows, cols = np.flatnonzero(sp.p > 0.0), np.flatnonzero(sp.q > 0.0)
+    cost = np.zeros((len(sp.p), len(sp.q)))
+    cost[np.ix_(rows, cols)] = pairwise_block(sp.omega, rows, cols, kind)
+    sol = transportation_lp(sp.p, sp.q, cost, "min" if kind == "distance" else "max")
     return replace(sol, coupling=replace(sol.coupling, support=sp))
 
 

@@ -76,6 +76,8 @@ def _trace_norms(o: np.ndarray) -> np.ndarray:
     """:func:`trace_norm` of each matrix in a stack, batched."""
     oh = o.conj().swapaxes(-1, -2)
     herm = np.max(np.abs(o - oh), axis=(-2, -1)) <= HERM_TOL
+    if herm.all():
+        return np.sum(np.abs(np.linalg.eigvalsh((o + oh) / 2.0)), axis=-1)
     out = np.empty(len(o))
     out[herm] = np.sum(np.abs(np.linalg.eigvalsh((o[herm] + oh[herm]) / 2.0)), axis=-1)
     w = np.linalg.eigvalsh(oh[~herm] @ o[~herm])
@@ -91,7 +93,7 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     rho = as_operator(rho)
     sigma = as_operator(sigma)
     _check_same_dim(rho, sigma)
-    return float(pairwise_matrix((rho, sigma), "distance")[0, 1])
+    return float(pair_values((rho, sigma), [0], [1], "distance")[0])
 
 
 def _psd_spectrum(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,29 +143,68 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     rho = as_operator(rho)
     sigma = as_operator(sigma)
     _check_same_dim(rho, sigma)
-    return float(pairwise_matrix((rho, sigma), "fidelity")[0, 1])
+    return float(pair_values((rho, sigma), [0], [1], "fidelity")[0])
+
+
+# Pairs per batched ``eigvalsh`` or ``svd`` call: enough to amortize the
+# call, few enough that a block's stack of d×d matrices stays small.
+_PAIR_BLOCK = 64
+
+
+def pair_values(states: Sequence[np.ndarray], first, second, kind: str) -> np.ndarray:
+    """:func:`trace_distance` (``kind="distance"``) or :func:`fidelity` of
+    ``states[first[k]]`` and ``states[second[k]]``, in that order, for each
+    ``k``, over validated states.
+
+    Entries equal the per-pair functions bit for bit.  Pairs go through one
+    batched ``eigvalsh`` or ``svd`` per block of at most 64, and each block
+    stacks only its own pairs; the fidelity takes one square root per state
+    that some pair reads.
+    """
+    first = np.asarray(first, dtype=int)
+    second = np.asarray(second, dtype=int)
+    if kind == "distance":
+        stack = np.asarray(states, dtype=complex)
+    elif kind == "fidelity":
+        used = np.zeros(len(states), dtype=bool)
+        used[first] = used[second] = True
+        stack = np.empty((len(states),) + np.shape(states[0]), dtype=complex)
+        for i in np.flatnonzero(used):
+            stack[i] = mat_sqrt_psd(states[i])
+    else:
+        raise OutOfRange(f"unknown kind {kind!r}")
+    out = np.empty(len(first))
+    for s in range(0, len(first), _PAIR_BLOCK):
+        x, y = stack[first[s : s + _PAIR_BLOCK]], stack[second[s : s + _PAIR_BLOCK]]
+        if kind == "distance":
+            out[s : s + _PAIR_BLOCK] = 0.5 * _trace_norms(x - y)
+        else:
+            out[s : s + _PAIR_BLOCK] = np.sum(np.linalg.svd(x @ y, compute_uv=False), axis=-1)
+    return np.clip(out, 0.0, 1.0)
 
 
 def pairwise_matrix(states: Sequence[np.ndarray], kind: str) -> np.ndarray:
     """Symmetric matrix of :func:`trace_distance` (``kind="distance"``, zero
     diagonal) or :func:`fidelity` (unit diagonal) over validated states.
 
-    Entries equal the per-pair functions bit for bit.  Each upper-triangle
-    row is one batched ``eigvalsh`` or ``svd``; one square root per state.
+    Each entry is computed with the lower index first, by
+    :func:`pair_values`, so it equals the per-pair function bit for bit.
     """
-    n = len(states)
-    if kind == "distance":
-        stack, out = np.asarray(states, dtype=complex), np.zeros((n, n))
-    elif kind == "fidelity":
-        stack, out = np.asarray([mat_sqrt_psd(s) for s in states]), np.eye(n)
-    else:
+    return pairwise_block(states, range(len(states)), range(len(states)), kind)
+
+
+def pairwise_block(states: Sequence[np.ndarray], rows, cols, kind: str) -> np.ndarray:
+    """The ``rows × cols`` block of ``pairwise_matrix(states, kind)``, bit
+    for bit, evaluating only the pairs the block holds, each unordered pair
+    once and with the lower index first."""
+    if kind not in ("distance", "fidelity"):
         raise OutOfRange(f"unknown kind {kind!r}")
-    for i in range(n - 1):
-        if kind == "distance":
-            row = 0.5 * _trace_norms(stack[i] - stack[i + 1 :])
-        else:
-            row = np.sum(np.linalg.svd(stack[i] @ stack[i + 1 :], compute_uv=False), axis=-1)
-        out[i, i + 1 :] = out[i + 1 :, i] = np.clip(row, 0.0, 1.0)
+    r, c = np.meshgrid(np.asarray(rows, dtype=int), np.asarray(cols, dtype=int), indexing="ij")
+    lo, hi = np.minimum(r, c), np.maximum(r, c)
+    off = lo != hi
+    pairs, where = np.unique(lo[off] * len(states) + hi[off], return_inverse=True)
+    out = np.full(r.shape, 0.0 if kind == "distance" else 1.0)
+    out[off] = pair_values(states, pairs // len(states), pairs % len(states), kind)[where]
     return out
 
 

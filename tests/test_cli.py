@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensemble_metrics.cli import (
     SEED_ENV,
@@ -228,7 +234,100 @@ def test_parser_covers_all_subcommands():
     assert parser.parse_args(["selftest"]).level == "quick"
 
 
+def test_options_do_not_carry_over_between_calls(capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    pair = _expand(["bell.json", "prods.json"])
+    assert main(["dist", *pair, "--method", "ehs", "--max-iter", "5"]) == 4
+    assert json.loads(capsys.readouterr().out)["measure"] == "ehs_distance"
+    assert main(["dist", *pair]) == 0
+    assert json.loads(capsys.readouterr().out)["measure"] == "kantorovich_distance"
+    budget = ["--compare", "worst", "--worst-restarts", "0"]
+    meas = _expand(["measz.json", "measx.json"])
+    assert main(["channel", *meas, *budget, "--worst-steps", "9"]) == 0
+    assert json.loads(capsys.readouterr().out)["solver"]["max_steps"] == 9
+    assert main(["channel", *meas, *budget]) == 0
+    assert json.loads(capsys.readouterr().out)["solver"]["max_steps"] == 500
+
+
 def test_usage_errors(capsys):
     assert main([]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# The fuzzed runs: a command with its pair of fixtures and options that keep
+# each run short.
+FUZZ_RUNS = [
+    ("dist", "classic_p.json", "classic_q.json", ()),
+    ("fid", "bell.json", "prods.json", ()),
+    ("dist", "rand_a.json", "rand_b.json", ("--method", "ehs", "--max-iter", "20")),
+    ("fid", "single0.json", "qutrit.json", ("--method", "ehs", "--max-iter", "20")),
+    ("channel", "measz.json", "measx.json", ()),
+    ("channel", "measx.json", "measz.json", ("--measure", "fid")),
+    ("channel", "measz.json", "measx.json",
+     ("--compare", "worst", "--worst-restarts", "1", "--worst-steps", "2")),
+    ("povm", "povmz.json", "povmx.json", ("--measure", "fid")),
+]
+FUZZ_NUMBERS = st.sampled_from([0, 1, -1, 2, 0.5, -0.5, 1e-9, 1e-300, 1e300, -1e300, 10**400])
+FUZZ_VALUES = st.recursive(
+    st.none() | st.booleans() | FUZZ_NUMBERS | st.floats() | st.text(max_size=2),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=2)
+    ),
+    max_leaves=5,
+)
+
+
+def _mutated(data, doc) -> str:
+    """One random edit of a fixture document: a node replaced, scaled,
+    deleted or duplicated, or the serialized text cut short."""
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 4)):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys))
+        parent, node = node, node[key]
+    edit = data.draw(st.sampled_from(["replace", "scale", "delete", "duplicate", "cut"]))
+    if parent is None or edit == "replace":
+        value = data.draw(FUZZ_VALUES)
+        if parent is None:
+            doc = value
+        else:
+            parent[key] = value
+    elif edit == "scale" and isinstance(node, (int, float)) and not isinstance(node, bool):
+        parent[key] = node * data.draw(st.sampled_from([-1.0, 0.0, 1.0 + 1e-9, 2.0, 1e200]))
+    elif edit == "delete":
+        del parent[key]
+    elif edit == "duplicate" and isinstance(parent, list):
+        parent.insert(key, node)
+    text = json.dumps(doc)
+    if edit == "cut":
+        text = text[: data.draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(run=st.sampled_from(FUZZ_RUNS), data=st.data())
+def test_mutated_inputs_exit_with_a_documented_code_and_one_line(run, data):
+    command, first, second, options = run
+    docs = [json.loads((DATA / name).read_text()) for name in (first, second)]
+    which = data.draw(st.sampled_from([(0,), (1,), (0, 1)]))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, doc in enumerate(docs):
+            path = Path(tmp) / f"{k}.json"
+            path.write_text(_mutated(data, doc) if k in which else json.dumps(doc))
+            paths.append(str(path))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([command, *paths, *options])
+    # a warning would print lines of its own on stderr
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 2, 3, 4, 5)
+    if code in (0, 4):
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1, err.getvalue()

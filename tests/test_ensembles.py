@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ensemble_metrics import kantorovich
 from ensemble_metrics.channels import make_measurement
 from ensemble_metrics.ensembles import (
     DISTINCT_TOL,
@@ -12,6 +13,7 @@ from ensemble_metrics.ensembles import (
     holevo_chi,
     make_ehs_state,
     make_ensemble,
+    merge_near_equal,
     pure_state,
     unify_support,
 )
@@ -23,6 +25,7 @@ from ensemble_metrics.errors import (
     PointerReuse,
     WeightMismatch,
 )
+from ensemble_metrics.kantorovich import transportation_lp
 from ensemble_metrics.linalg import pairwise_matrix, partial_trace, trace_distance
 from ensemble_metrics.oracle import random_density
 
@@ -141,20 +144,139 @@ def test_unify_support_order_and_marginals():
         unify_support(a, make_ensemble([(1.0, np.eye(3) / 3)]))
 
 
-def test_unify_support_distances_equal_the_kernel_on_the_support():
+@pytest.mark.parametrize("kind", ["distance", "fidelity"])
+def test_coupling_cost_equals_the_kernel_on_the_support(kind, monkeypatch):
+    costs = []
+
+    def spy(p, q, cost, sense="min"):
+        costs.append(cost)
+        return transportation_lp(p, q, cost, sense)
+
+    monkeypatch.setattr(kantorovich, "transportation_lp", spy)
     rng = np.random.default_rng(31)
-    for trial in range(40):
+    for trial in range(20):
         d = int(rng.integers(2, 9))
         sa = [random_density(d, int(rng.integers(1, d + 1)), seed=1000 * trial + i) for i in range(6)]
         sb = [random_density(d, seed=1000 * trial + 100 + i) for i in range(5)]
-        # b shares some of a's states, first among them, so the kept set has gaps
+        # b shares some of a's states, so some columns come before rows
         shared = sorted(rng.choice(6, size=int(rng.integers(1, 4)), replace=False))
         sb = [sa[i] for i in shared] + sb
         a = make_ensemble(list(zip(rng.dirichlet(np.ones(6)), sa)))
         b = make_ensemble(list(zip(rng.dirichlet(np.ones(len(sb))), sb)))
-        sp = unify_support(a, b)
+        sp = kantorovich.coupling_lp(a, b, kind).coupling.support
         assert len(sp.omega) == 11
-        assert np.array_equal(sp.dist, pairwise_matrix(sp.omega, "distance"))
+        rows, cols = np.flatnonzero(sp.p > 0.0), np.flatnonzero(sp.q > 0.0)
+        assert list(cols[: len(shared)]) == shared
+        want = pairwise_matrix(sp.omega, kind)[np.ix_(rows, cols)]
+        assert np.array_equal(costs[-1][np.ix_(rows, cols)], want)
+
+
+def _reference_merge(states, weights):
+    """The merge rule over the full trace-distance matrix: walking in order,
+    a state within DISTINCT_TOL of a kept one goes into the first such."""
+    dist = pairwise_matrix(states, "distance")
+    kept, sums, index = [], [], []
+    for i, w in enumerate(weights):
+        near = np.flatnonzero(dist[i, kept] <= DISTINCT_TOL)
+        if near.size:
+            index.append(int(near[0]))
+            sums[near[0]] += w
+        else:
+            index.append(len(kept))
+            kept.append(i)
+            sums.append(w)
+    return kept, sums, index
+
+
+def _shifted(rho, t, rng):
+    """A state at trace distance ``t`` from the full-rank ``rho``: ``rho``
+    plus ``t`` times the difference of two orthogonal rank-one projectors
+    in a random basis."""
+    d = len(rho)
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return rho + t * (np.outer(u[:, 0], u[:, 0].conj()) - np.outer(u[:, 1], u[:, 1].conj()))
+
+
+def _equator(phi):
+    return pure_state(np.array([1.0, np.exp(1j * phi)]))
+
+
+def test_merge_screen_agrees_with_the_full_matrix_rule():
+    rng = np.random.default_rng(8)
+    merged = split = 0
+    cases = []
+    for d in (2, 3, 4, 8):
+        for _ in range(4):
+            base = [random_density(d, d, seed=int(rng.integers(1 << 30))) for _ in range(3)]
+            states = list(base)
+            for t in (0.5e-9, 1e-9, 2e-9, 0.999e-9, 1.001e-9):
+                states.append(_shifted(base[int(rng.integers(3))], t, rng))
+            # a chain of 0.6e-9 steps: the third state is 1.2e-9 from the first
+            states.append(_shifted(states[-1], 0.6e-9, rng))
+            perm = rng.permutation(len(states))
+            cases.append([states[k] for k in perm])
+    # equal diagonals: |+>, |->, |+i>, |-i> and states on the Bloch equator,
+    # some within 1e-9 of each other in trace distance
+    equator = [0.0, np.pi, np.pi / 2, -np.pi / 2, 0.3, 0.3 + 1e-9, 0.3 + 2.5e-9, np.pi + 0.8e-9]
+    cases.append([_equator(phi) for phi in equator])
+    cases.append([_equator(phi) for phi in equator[::-1]])
+    for states in cases:
+        weights = list(rng.dirichlet(np.ones(len(states))))
+        kept, sums, index = merge_near_equal(states, weights)
+        ref_kept, ref_sums, ref_index = _reference_merge(states, weights)
+        assert kept == ref_kept
+        assert list(index) == ref_index
+        assert np.array_equal(sums, np.asarray(ref_sums))
+        merged += len(states) - len(kept)
+        split += len(kept)
+    # both outcomes of the rule occur
+    assert merged >= 30 and split >= 60
+
+
+def _nonherm(d):
+    m = np.eye(d, dtype=complex) / d
+    m[0, 1] = 0.1
+    return m
+
+
+def _negative(d):
+    return np.diag([1.5] + [-0.5 / (d - 1)] * (d - 1)).astype(complex)
+
+
+def test_make_ensemble_raises_the_first_bad_entry_in_input_order():
+    good2, good3 = np.eye(2) / 2, np.eye(3) / 3
+    with pytest.raises(InvalidState, match="not Hermitian"):
+        make_ensemble([(0.25, good2), (0.25, _nonherm(2)), (0.25, KET0), (0.25, _negative(2))])
+    with pytest.raises(InvalidState, match="negative eigenvalue"):
+        make_ensemble([(0.25, good2), (0.25, _negative(2)), (0.25, KET0), (0.25, _nonherm(2))])
+    with pytest.raises(InvalidState, match="trace differs"):
+        make_ensemble([(0.5, 2 * good2), (0.5, _nonherm(2))])
+    # a mixed dimension is found after the entries before it pass, and
+    # after the entry's own checks
+    with pytest.raises(DimMismatch, match="mixed dimension"):
+        make_ensemble([(0.25, good2), (0.25, good3), (0.25, KET0), (0.25, _nonherm(2))])
+    with pytest.raises(InvalidState, match="not Hermitian"):
+        make_ensemble([(0.25, _nonherm(2)), (0.25, good3), (0.5, KET0)])
+    with pytest.raises(InvalidState, match="negative eigenvalue"):
+        make_ensemble([(0.25, good2), (0.25, _negative(3)), (0.5, KET0)])
+    # probability and shape errors wait for the entries before them too
+    with pytest.raises(InvalidState, match="not Hermitian"):
+        make_ensemble([(0.5, _nonherm(2)), (float("nan"), KET0)])
+    with pytest.raises(InvalidState, match="negative probability"):
+        make_ensemble([(0.5, good2), (-0.5, _nonherm(2))])
+    with pytest.raises(InvalidState, match="not Hermitian"):
+        make_ensemble([(0.5, _nonherm(2)), (0.5, np.ones((2, 3)))])
+    with pytest.raises(DimMismatch, match="square"):
+        make_ensemble([(0.5, good2), (0.5, np.ones((2, 3))), (0.5, _nonherm(2))])
+    bad = good2.astype(complex)
+    bad[1, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        make_ensemble([(0.5, good2), (0.5, bad), (0.5, _nonherm(2))])
+    with pytest.raises(InvalidState, match="not Hermitian"):
+        make_ensemble([(0.5, _nonherm(2)), (0.5, bad)])
+    # an invalid state with zero probability is skipped
+    ens = make_ensemble([(0.0, _nonherm(2)), (1.0, KET0), (0.0, good3), (0.0, bad)])
+    assert ens.size == 1 and list(ens.index) == [-1, 0, -1, -1]
 
 
 def test_average_state_and_entropies():

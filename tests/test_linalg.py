@@ -9,6 +9,8 @@ from ensemble_metrics.linalg import (
     herm_eig,
     mat_pinv_sqrt_psd,
     mat_sqrt_psd,
+    pair_values,
+    pairwise_block,
     pairwise_matrix,
     partial_trace,
     tensor,
@@ -120,6 +122,51 @@ def test_pairwise_matrix_matches_per_pair_functions(kind, metric, diag):
                 assert abs(got[i, j] - metric(states[i], states[j])) <= 1e-15
     with pytest.raises(OutOfRange):
         pairwise_matrix(states, "overlap")
+
+
+def _per_row(kind, states):
+    """The matrix as it was computed before pairs went in blocks: one
+    batched ``eigvalsh`` or ``svd`` per upper-triangle row."""
+    n = len(states)
+    if kind == "distance":
+        stack, out = np.asarray(states, dtype=complex), np.zeros((n, n))
+    else:
+        stack, out = np.asarray([mat_sqrt_psd(s) for s in states]), np.eye(n)
+    for i in range(n - 1):
+        if kind == "distance":
+            o = stack[i] - stack[i + 1 :]
+            h = (o + o.conj().swapaxes(-1, -2)) / 2.0
+            row = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+        else:
+            row = np.sum(np.linalg.svd(stack[i] @ stack[i + 1 :], compute_uv=False), axis=-1)
+        out[i, i + 1 :] = out[i + 1 :, i] = np.clip(row, 0.0, 1.0)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["distance", "fidelity"])
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_blocked_kernels_equal_the_per_row_formula_bit_for_bit(kind, d):
+    rng = np.random.default_rng(d)
+    # 14 states: 91 pairs, more than one block of 64
+    a = [_rand_state(rng, d, int(rng.integers(1, d + 1))) for _ in range(9)]
+    b = [_rand_state(rng, d, int(rng.integers(1, d + 1))) for _ in range(5)]
+    states = a + b
+    ref = _per_row(kind, states)
+    assert np.array_equal(pairwise_matrix(states, kind), ref)
+    # a support block as a coupling reads it: every state of a against the
+    # states of b, two of which merged into earlier states of a (columns 2
+    # and 6), so entries below the diagonal must still be taken lower index
+    # first
+    rows, cols = np.arange(9), np.array([2, 6, 9, 10, 11, 12, 13])
+    block = pairwise_block(states, rows, cols, kind)
+    assert block.shape == (9, 7)
+    assert np.array_equal(block, ref[np.ix_(rows, cols)])
+    big = pairwise_block(states, np.arange(14), np.arange(14)[::-1], kind)
+    assert np.array_equal(big, ref[:, ::-1])
+    first, second = np.triu_indices(14, 1)
+    assert np.array_equal(pair_values(states, first, second, kind), ref[first, second])
+    with pytest.raises(OutOfRange):
+        pairwise_block(states, rows, cols, "overlap")
 
 
 def test_fidelity_known_values():
