@@ -30,7 +30,7 @@ from .ehs import SolverOptions, ehs_distance, ehs_fidelity
 from .ensembles import Ensemble, average_state, make_ensemble, merge_near_equal
 from .errors import DimMismatch, InvalidMeasurement, InvalidParams, InvalidPovm
 from .kantorovich import kantorovich_distance, kantorovich_fidelity
-from .linalg import as_operator, mat_pinv_sqrt_psd, mat_sqrt_psd, partial_trace
+from .linalg import as_operator, mat_pinv_sqrt_psd, mat_sqrt_psd, partial_trace, sign_matrices
 
 MEAS_TOL = 1e-8
 MARGINAL_TOL = 1e-7
@@ -62,25 +62,15 @@ class Povm:
         return len(self.elements)
 
 
-@dataclass(frozen=True, eq=False)
-class ChoiEnsemble:
-    """Ensemble of per-outcome Choi states on ``dim**2``; probabilities are
-    the outcome weights."""
+def _choi_states(outcomes, d: int) -> list[np.ndarray]:
+    """Choi state ``(I ⊗ K)(Φ)`` of each ``(weight, Kraus list)`` outcome,
+    with ``Φ`` maximally entangled on ``d × d``.
 
-    ensemble: Ensemble
-    dim: int
-
-
-def _choi_state(kraus, d: int) -> np.ndarray:
-    """Choi state ``(I ⊗ K)(Φ)`` of the map with the given Kraus list."""
-    phi = np.zeros(d * d, dtype=complex)
-    phi[:: d + 1] = 1.0 / np.sqrt(d)
-    c = np.zeros((d * d, d * d), dtype=complex)
-    eye = np.eye(d)
-    for k in kraus:
-        v = np.kron(eye, k) @ phi
-        c += np.outer(v, v.conj())
-    return c
+    ``(I ⊗ K)|Φ⟩`` is ``Kᵀ`` flattened row by row and divided by ``√d``, so
+    each state is one product of its outcome's stacked vectors.
+    """
+    vecs = (np.reshape([k.T for k in kraus], (-1, d * d)) / np.sqrt(d) for _, kraus in outcomes)
+    return [v.T @ v.conj() for v in vecs]
 
 
 def make_measurement(outcomes) -> GeneralizedMeasurement:
@@ -135,8 +125,7 @@ def make_measurement(outcomes) -> GeneralizedMeasurement:
     if residual > MEAS_TOL * dim:
         raise InvalidMeasurement(f"completeness residual norm {residual:.3e}")
 
-    chois = [_choi_state(kraus, dim) for _, kraus in cleaned]
-    kept, weights, _ = merge_near_equal(chois, [w for w, _ in cleaned])
+    kept, weights, _ = merge_near_equal(_choi_states(cleaned, dim), [w for w, _ in cleaned])
     merged = tuple((float(w), cleaned[i][1]) for i, w in zip(kept, weights))
     return GeneralizedMeasurement(merged, dim)
 
@@ -244,21 +233,26 @@ def _lifted(m: GeneralizedMeasurement, a_dim: int) -> GeneralizedMeasurement:
     )
 
 
-def jamiolkowski_ensemble(m: GeneralizedMeasurement) -> ChoiEnsemble:
-    """Ensemble obtained by measuring one half of a maximally entangled pair.
+def jamiolkowski_ensemble(m: GeneralizedMeasurement) -> Ensemble:
+    """Ensemble obtained by measuring one half of a maximally entangled pair:
+    each outcome's normalized Choi state, with probability weight × trace.
 
     Outcome probabilities equal the measurement weights (the reduced input
     on the untouched side is maximally mixed) and the average state keeps
-    its untouched marginal at I/d, which is re-checked here.
+    its untouched marginal at I/d, which is re-checked here.  As in
+    :func:`apply_measurement`, zero-probability outcomes are dropped.
     """
     d = m.dim
-    phi = np.zeros(d * d, dtype=complex)
-    phi[:: d + 1] = 1.0 / np.sqrt(d)
-    ens = apply_measurement(_lifted(m, d), np.outer(phi, phi.conj()))
+    pairs = []
+    for (w, _), c in zip(m.outcomes, _choi_states(m.outcomes, d)):
+        tr = float(np.real(np.trace(c)))
+        if w * tr > 0.0:
+            pairs.append((w * tr, c / tr))
+    ens = make_ensemble(pairs)
     marg = partial_trace(average_state(ens), (d, d), "A")
     if float(np.linalg.norm(marg - np.eye(d) / d)) > MARGINAL_TOL:
         raise InvalidMeasurement("average Choi state has a skewed untouched marginal")
-    return ChoiEnsemble(ens, d)
+    return ens
 
 
 def _ensemble_measure(a: Ensemble, b: Ensemble, kind: str, method: str, opts) -> float:
@@ -279,9 +273,7 @@ def _check_dims(x, y) -> None:
 
 def _iso(m, n, kind: str, method: str, opts) -> float:
     _check_dims(m, n)
-    return _ensemble_measure(
-        jamiolkowski_ensemble(m).ensemble, jamiolkowski_ensemble(n).ensemble, kind, method, opts
-    )
+    return _ensemble_measure(jamiolkowski_ensemble(m), jamiolkowski_ensemble(n), kind, method, opts)
 
 
 def dist_iso(
@@ -434,8 +426,7 @@ def _cost_gradients(kind: str, omega, cells) -> list:
     if not cells:
         return []
     if kind == "distance":
-        w, v = np.linalg.eigh(np.array([omega[u] - omega[t] for u, t in cells]))
-        signs = 0.5 * (v * np.sign(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        signs = 0.5 * sign_matrices(np.array([omega[u] - omega[t] for u, t in cells]))[1]
         return [(s, -s) for s in signs]
     roots = {u: mat_sqrt_psd(omega[u]) for cell in cells for u in cell}
 

@@ -267,8 +267,7 @@ def cmd_channel(args) -> int:
     m, n, digests = _load_pair((args.input_m, args.input_n), parse_measurement, "measurements")
     kind = KINDS[args.measure]
     if args.compare == "iso":
-        ea = jamiolkowski_ensemble(m).ensemble
-        eb = jamiolkowski_ensemble(n).ensemble
+        ea, eb = jamiolkowski_ensemble(m), jamiolkowski_ensemble(n)
         report, code = _measure_report(ea, eb, kind, args, digests, f"{args.measure}_iso")
     else:
         wopts = WorstCaseOptions(
@@ -314,20 +313,40 @@ def cmd_selftest(args) -> int:
     return selftest.run(args.level)
 
 
+def _count(text: str) -> int:
+    """A count or seed: a non-negative integer."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
+def _tolerance(text: str) -> float:
+    """A convergence tolerance: a finite number above zero."""
+    try:
+        if 0.0 < float(text) < math.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+
+
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV, "0")
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParseError(f"{SEED_ENV}={raw!r}: expected an integer") from exc
+        return _count(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ParseError(f"{SEED_ENV}: {exc}") from exc
 
 
 def _add_solver_flags(sp) -> None:
     sp.add_argument("--method", choices=["kantorovich", "ehs"], default="kantorovich")
-    sp.add_argument("--tol", type=float, default=1e-4)
-    sp.add_argument("--max-iter", type=int, default=5000, dest="max_iter")
-    sp.add_argument("--restarts", type=int, default=8)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--tol", type=_tolerance, default=1e-4)
+    sp.add_argument("--max-iter", type=_count, default=5000, dest="max_iter")
+    sp.add_argument("--restarts", type=_count, default=8)
+    sp.add_argument("--seed", type=_count, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input_n")
     sp.add_argument("--compare", choices=["iso", "worst"], default="iso")
     sp.add_argument("--measure", choices=["dist", "fid"], default="dist")
-    sp.add_argument("--worst-restarts", type=int, default=32, dest="worst_restarts")
-    sp.add_argument("--worst-steps", type=int, default=500, dest="worst_steps")
+    sp.add_argument("--worst-restarts", type=_count, default=32, dest="worst_restarts")
+    sp.add_argument("--worst-steps", type=_count, default=500, dest="worst_steps")
     _add_solver_flags(sp)
     sp.set_defaults(func=cmd_channel)
 

@@ -27,7 +27,7 @@ import numpy as np
 from .ensembles import Ensemble, average_state, unify_support
 from .errors import NotPure
 from .kantorovich import kantorovich_distance, transportation_lp
-from .linalg import fidelity, mat_sqrt_psd, pairwise_matrix, trace_distance
+from .linalg import fidelity, mat_sqrt_psd, pairwise_matrix, sign_matrices, trace_distance
 
 _PURITY_TOL = 1e-8
 
@@ -112,9 +112,8 @@ class _DistanceObjective:
         return 0.5 * float(np.abs(w).sum())
 
     def __call__(self, ptab: np.ndarray, qtab: np.ndarray):
-        w, v = np.linalg.eigh(self.blocks(ptab, qtab))
+        w, sgn = sign_matrices(self.blocks(ptab, qtab))
         value = 0.5 * float(np.abs(w).sum())
-        sgn = (v * np.sign(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
         gp, gq = self.contract(sgn)
         return value, gp, gq
 
@@ -151,8 +150,7 @@ def _solve_distance(obj: _DistanceObjective, starts, opts: SolverOptions, lower:
     best = (starts[k0][0].copy(), starts[k0][1].copy())
     ptab, qtab = best[0].copy(), best[1].copy()
     pbar, qbar = ptab, qtab
-    w, v = np.linalg.eigh(obj.blocks(ptab, qtab))
-    y = (v * np.sign(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    _, y = sign_matrices(obj.blocks(ptab, qtab))
     dual_best = max(lower, 0.0)
     step = 1.0 / obj.step_norm
     iterations = 0

@@ -96,6 +96,13 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(pair_values((rho, sigma), [0], [1], "distance")[0])
 
 
+def sign_matrices(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ``w`` of each Hermitian matrix in a stack, and its sign
+    matrix ``S = V sign(w) V†``: the contraction with ``Tr(S X) = ‖X‖₁``."""
+    w, v = np.linalg.eigh(blocks)
+    return w, (v * np.sign(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 def _psd_spectrum(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a PSD Hermitian matrix, with the
     cut-offs of :func:`mat_sqrt_psd`."""

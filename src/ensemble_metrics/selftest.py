@@ -241,9 +241,8 @@ def check_choi_marginals():
     for seed in range(4):
         d = 2 + seed % 2
         m = random_measurement(d, 3, seed=40000 + seed)
-        ce = jamiolkowski_ensemble(m)
         weights = sorted(m.weights)
-        probs = sorted(ce.ensemble.probs)
+        probs = sorted(jamiolkowski_ensemble(m).probs)
         assert np.allclose(weights, probs, atol=1e-9), (
             f"seed={seed} d={d}: weights {weights} vs outcome probs {probs}"
         )

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ensemble_metrics.channels import (
+    GeneralizedMeasurement,
     WorstCaseOptions,
     _as_real,
     _InputScore,
@@ -170,9 +173,8 @@ def test_compose_projective_idempotent():
 
 def test_jamiolkowski_ensemble_projective():
     z = _z_meas()
-    ce = jamiolkowski_ensemble(z)
-    assert ce.dim == 2
-    ens = ce.ensemble
+    ens = jamiolkowski_ensemble(z)
+    assert ens.dim == 4
     assert np.allclose(sorted(ens.probs), [0.5, 0.5])
     # measuring half of the entangled pair leaves |i>|i> products
     want = [tensor(pure_state(E0), pure_state(E0)), tensor(pure_state(E1), pure_state(E1))]
@@ -185,8 +187,35 @@ def test_jamiolkowski_ensemble_projective():
 def test_jamiolkowski_probs_equal_weights():
     for seed in range(3):
         m = random_measurement(2, 3, seed=seed)
-        ens = jamiolkowski_ensemble(m).ensemble
+        ens = jamiolkowski_ensemble(m)
         assert np.allclose(sorted(m.weights), sorted(ens.probs), atol=1e-9)
+
+
+@pytest.mark.parametrize("kraus", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_jamiolkowski_ensemble_equals_lifted_measurement_of_phi(d, kraus):
+    # the reference: measure the system half of |Φ><Φ| with the lifted Kraus operators
+    phi = np.eye(d).reshape(-1) / np.sqrt(d)
+    for seed in range(4):
+        m = random_measurement(d, 3, seed=700 + 10 * d + seed, kraus_per_outcome=kraus)
+        want = apply_measurement(_lifted(m, d), np.outer(phi, phi))
+        got = jamiolkowski_ensemble(m)
+        assert got.size == want.size, f"seed={seed}"
+        assert np.abs(got.probs - want.probs).max() <= 1e-14, f"seed={seed}"
+        assert np.abs(np.array(got.states) - np.array(want.states)).max() <= 1e-14, f"seed={seed}"
+
+
+def test_jamiolkowski_ensemble_drops_an_all_zero_outcome_quietly():
+    z = _z_meas()
+    zero = np.zeros((2, 2), dtype=complex)
+    hand = GeneralizedMeasurement(z.outcomes + ((0.25, (zero, zero)),), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ens = jamiolkowski_ensemble(hand)
+    want = jamiolkowski_ensemble(z)
+    assert ens.size == want.size == 2
+    assert np.array_equal(ens.probs, want.probs)
+    assert all(np.array_equal(x, y) for x, y in zip(ens.states, want.states))
 
 
 def test_dist_iso_z_vs_x_matches_hand_built():
@@ -348,7 +377,7 @@ def test_device_measures_equal_direct_ensemble_measure(kind, method):
     iso, povm, worst = (
         (dist_iso, povm_distance, dist_max) if kind == "distance" else (fid_iso, povm_fidelity, fid_min)
     )
-    choi_z, choi_x = jamiolkowski_ensemble(z).ensemble, jamiolkowski_ensemble(x).ensemble
+    choi_z, choi_x = jamiolkowski_ensemble(z), jamiolkowski_ensemble(x)
     assert iso(z, x, method) == direct(choi_z, choi_x)
     assert povm(pz, px, method) == direct(povm_to_ensemble(pz), povm_to_ensemble(px))
 

@@ -193,10 +193,42 @@ def test_seed_flag_beats_env(capsys, monkeypatch):
 
 
 def test_garbage_seed_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv(SEED_ENV, "abc")
-    code = main(_expand(["dist", "single0.json", "single1.json"]))
+    for raw in ("abc", "-3"):
+        monkeypatch.setenv(SEED_ENV, raw)
+        code = main(_expand(["dist", "single0.json", "single1.json"]))
+        captured = capsys.readouterr()
+        assert code == 2, raw
+        assert captured.err.startswith("parse error:") and captured.err.count("\n") == 1, raw
+        assert captured.out == ""
+
+
+OUT_OF_RANGE_FLAGS = [
+    ("dist", "--tol", "nan"),
+    ("dist", "--tol", "inf"),
+    ("dist", "--tol", "-1"),
+    ("dist", "--tol", "0"),
+    ("dist", "--max-iter", "-1"),
+    ("fid", "--restarts", "-1"),
+    ("fid", "--seed", "-1"),
+    ("channel", "--seed", "-5"),
+    ("channel", "--worst-restarts", "-1"),
+    ("channel", "--worst-steps", "-2"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag,value", OUT_OF_RANGE_FLAGS, ids=[f"{c[1]}={c[2]}" for c in OUT_OF_RANGE_FLAGS]
+)
+def test_out_of_range_flags_exit_2(command, flag, value, capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    pair = ["measz.json", "measx.json"] if command == "channel" else ["bell.json", "prods.json"]
+    options = ["--compare", "worst"] if command == "channel" else ["--method", "ehs"]
+    code = main(_expand([command, *pair, *options]) + [flag, value])
+    captured = capsys.readouterr()
     assert code == 2
-    assert capsys.readouterr().err.startswith("parse error:")
+    assert captured.out == ""
+    assert f"argument {flag}: " in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(
