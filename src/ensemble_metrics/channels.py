@@ -26,11 +26,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ehs import SolverOptions, ehs_distance, ehs_fidelity
+from .ehs import SolverOptions, check_counts, ehs_distance, ehs_fidelity
 from .ensembles import Ensemble, average_state, make_ensemble, merge_near_equal
 from .errors import DimMismatch, InvalidMeasurement, InvalidParams, InvalidPovm
 from .kantorovich import kantorovich_distance, kantorovich_fidelity
-from .linalg import as_operator, mat_pinv_sqrt_psd, mat_sqrt_psd, partial_trace, sign_matrices
+from .linalg import as_operator, mat_pinv_sqrt_psd, mat_sqrt_psd, partial_trace, spectral_map
 
 MEAS_TOL = 1e-8
 MARGINAL_TOL = 1e-7
@@ -305,11 +305,17 @@ FD_STEP = 1e-5
 
 @dataclass(frozen=True)
 class WorstCaseOptions:
-    """Search options for the input-sphere optimizers."""
+    """Search options for the input-sphere optimizers.
+
+    Raises InvalidParams unless each field is an integer >= 0.
+    """
 
     restarts: int = 32
     max_steps: int = 500
     seed: int = 0
+
+    def __post_init__(self):
+        check_counts(self, "restarts", "max_steps", "seed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,15 +431,16 @@ def _cost_gradients(kind: str, omega, cells) -> list:
     """
     if not cells:
         return []
+    omega = np.asarray(omega)
+    u, v = np.transpose(cells)
     if kind == "distance":
-        signs = 0.5 * sign_matrices(np.array([omega[u] - omega[t] for u, t in cells]))[1]
-        return [(s, -s) for s in signs]
-    roots = {u: mat_sqrt_psd(omega[u]) for cell in cells for u in cell}
-
-    def towards(rho, root):
-        return 0.5 * root @ mat_pinv_sqrt_psd(root @ rho @ root) @ root
-
-    return [(towards(omega[u], roots[t]), towards(omega[t], roots[u])) for u, t in cells]
+        signs = 0.5 * spectral_map(omega[u] - omega[v], np.sign)[1]
+        return list(zip(signs, -signs))
+    # one root per state with flow; row k < len(cells) is the gradient for omega[u[k]]
+    used, at = np.unique(np.concatenate([v, u]), return_inverse=True)
+    r = mat_sqrt_psd(omega[used])[at]
+    grads = 0.5 * r @ mat_pinv_sqrt_psd(r @ np.concatenate([omega[u], omega[v]]) @ r) @ r
+    return list(zip(grads[: len(cells)], grads[len(cells) :]))
 
 
 def _coupling_gradient(kind: str, psi, outputs, coupling, sides) -> np.ndarray:

@@ -343,9 +343,9 @@ def _default_seed() -> int:
 
 def _add_solver_flags(sp) -> None:
     sp.add_argument("--method", choices=["kantorovich", "ehs"], default="kantorovich")
-    sp.add_argument("--tol", type=_tolerance, default=1e-4)
-    sp.add_argument("--max-iter", type=_count, default=5000, dest="max_iter")
-    sp.add_argument("--restarts", type=_count, default=8)
+    sp.add_argument("--tol", type=_tolerance, default=SolverOptions.tol)
+    sp.add_argument("--max-iter", type=_count, default=SolverOptions.max_iter, dest="max_iter")
+    sp.add_argument("--restarts", type=_count, default=SolverOptions.restarts)
     sp.add_argument("--seed", type=_count, default=None)
 
 
@@ -369,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input_n")
     sp.add_argument("--compare", choices=["iso", "worst"], default="iso")
     sp.add_argument("--measure", choices=["dist", "fid"], default="dist")
-    sp.add_argument("--worst-restarts", type=_count, default=32, dest="worst_restarts")
-    sp.add_argument("--worst-steps", type=_count, default=500, dest="worst_steps")
+    sp.add_argument("--worst-restarts", type=_count, default=WorstCaseOptions.restarts)
+    sp.add_argument("--worst-steps", type=_count, default=WorstCaseOptions.max_steps)
     _add_solver_flags(sp)
     sp.set_defaults(func=cmd_channel)
 

@@ -20,14 +20,15 @@ value is within ``tol`` of the best dual bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
 
 from .ensembles import Ensemble, average_state, unify_support
-from .errors import NotPure
+from .errors import InvalidParams, NotPure
 from .kantorovich import kantorovich_distance, transportation_lp
-from .linalg import fidelity, mat_sqrt_psd, pairwise_matrix, sign_matrices, trace_distance
+from .linalg import fidelity, mat_sqrt_psd, pairwise_matrix, spectral_map, trace_distance
 
 _PURITY_TOL = 1e-8
 
@@ -37,14 +38,31 @@ class SolverOptions:
     """Knobs shared by the iterative solvers.
 
     ``tol`` is the certificate gap at which the distance solver stops;
-    ``restarts`` counts the random initializations of the fidelity solver
-    (the product and warm-start initializations always run).
+    ``max_iter`` caps the distance iterations, and the sweeps of each start
+    of the fidelity solver; ``restarts`` counts the random initializations
+    of the fidelity solver (the product and warm-start initializations
+    always run).  Raises InvalidParams unless ``tol`` is finite and
+    positive and every count and ``seed`` is an integer >= 0.
     """
 
     tol: float = 1e-4
     max_iter: int = 5000
     restarts: int = 8
     seed: int = 0
+
+    def __post_init__(self):
+        if not isinstance(self.tol, Real) or not 0.0 < self.tol < np.inf:
+            raise InvalidParams(f"tol must be a finite number > 0, got {self.tol!r}")
+        check_counts(self, "max_iter", "restarts", "seed")
+
+
+def check_counts(opts, *names: str) -> None:
+    """Raise InvalidParams unless each named field of ``opts`` is an
+    integer >= 0 (a bool is not)."""
+    for name in names:
+        value = getattr(opts, name)
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+            raise InvalidParams(f"{name} must be an integer >= 0, got {value!r}")
 
 
 def _as_options(opts: SolverOptions | None) -> SolverOptions:
@@ -112,7 +130,7 @@ class _DistanceObjective:
         return 0.5 * float(np.abs(w).sum())
 
     def __call__(self, ptab: np.ndarray, qtab: np.ndarray):
-        w, sgn = sign_matrices(self.blocks(ptab, qtab))
+        w, sgn = spectral_map(self.blocks(ptab, qtab), np.sign)
         value = 0.5 * float(np.abs(w).sum())
         gp, gq = self.contract(sgn)
         return value, gp, gq
@@ -134,30 +152,22 @@ class _DistanceObjective:
         return float(self.p @ np.min(gp, axis=1) + self.q @ np.min(gq, axis=0))
 
 
-def _proj_contractions(y: np.ndarray) -> np.ndarray:
-    """Clip the eigenvalues of each Hermitian block to [-1, 1]."""
-    y = 0.5 * (y + y.conj().swapaxes(-1, -2))
-    w, v = np.linalg.eigh(y)
-    np.clip(w, -1.0, 1.0, out=w)
-    return (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
-
-
-def _solve_distance(obj: _DistanceObjective, starts, opts: SolverOptions, lower: float):
-    """Primal-dual iteration on the table pair and the dual contraction blocks."""
-    vals = [obj.value(pt, qt) for pt, qt in starts]
-    k0 = int(np.argmin(vals))
-    best_val = vals[k0]
-    best = (starts[k0][0].copy(), starts[k0][1].copy())
-    ptab, qtab = best[0].copy(), best[1].copy()
+def _solve_distance(obj: _DistanceObjective, start, opts: SolverOptions, lower: float):
+    """Primal-dual iteration from the table pair ``(start, start)``."""
+    ptab, qtab = start.copy(), start.copy()
+    best_val, best = obj.value(ptab, qtab), (ptab, qtab)
     pbar, qbar = ptab, qtab
-    _, y = sign_matrices(obj.blocks(ptab, qtab))
+    _, y = spectral_map(obj.blocks(ptab, qtab), np.sign)
     dual_best = max(lower, 0.0)
     step = 1.0 / obj.step_norm
     iterations = 0
     converged = False
     while iterations < opts.max_iter:
         iterations += 1
-        y = _proj_contractions(y + (0.5 * step) * obj.blocks(pbar, qbar))
+        # project each dual block onto the contractions: eigenvalues into [-1, 1]
+        y = y + (0.5 * step) * obj.blocks(pbar, qbar)
+        y = 0.5 * (y + y.conj().swapaxes(-1, -2))
+        _, y = spectral_map(y, lambda w: np.clip(w, -1.0, 1.0))
         gp, gq = obj.contract(y)
         pnew = project_rows_to_simplex(ptab - step * gp, obj.p)
         qnew = project_rows_to_simplex((qtab - step * gq).T, obj.q).T
@@ -189,9 +199,7 @@ def ehs_distance(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) ->
     lower = trace_distance(average_state(a), average_state(b))
     dk, coupling = kantorovich_distance(a, b)
     obj = _DistanceObjective(sp.omega, sp.p, sp.q)
-    warm = (coupling.table.copy(), coupling.table.copy())
-    product = (np.outer(sp.p, sp.q), np.outer(sp.p, sp.q))
-    val, (ptab, qtab), iters, converged = _solve_distance(obj, [warm, product], opts, lower)
+    val, (ptab, qtab), iters, converged = _solve_distance(obj, coupling.table, opts, lower)
     value = float(min(max(val, 0.0), 1.0))
     return SolveReport(value, JointPair(ptab, qtab), iters, (lower, dk), converged)
 
@@ -230,7 +238,7 @@ def _bca(p: np.ndarray, q: np.ndarray, w: np.ndarray, opts: SolverOptions):
     for pt, qt in starts:
         val = value_of(pt, qt)
         stalled = False
-        for _ in range(2000):
+        for _ in range(opts.max_iter):
             total_sweeps += 1
             num = qt * w2
             rs = num.sum(axis=1)

@@ -21,10 +21,29 @@ PSD_TOL = -1e-10
 def as_operator(a: np.ndarray) -> np.ndarray:
     """Validate and return ``a`` as a square complex matrix."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2:
+        raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
+    return _as_stack(a)
+
+
+def _as_stack(a: np.ndarray) -> np.ndarray:
+    """Validate and return ``a`` as a stack ``(..., d, d)`` of square complex
+    matrices with finite entries."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix entries must be finite")
+    return a
+
+
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    """:func:`_as_stack`, raising NotHermitian when some ``max|a - a†|``
+    exceeds 1e-10."""
+    a = _as_stack(a)
+    err = float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)), initial=0.0))
+    if err > HERM_TOL:
+        raise NotHermitian(f"max|a - a†| = {err:.3e}")
     return a
 
 
@@ -52,10 +71,7 @@ def herm_eig(a: np.ndarray) -> HermEig:
     when the underlying iteration gives up.  Output is deterministic for
     identical input.
     """
-    a = as_operator(a)
-    err = float(np.max(np.abs(a - a.conj().T)))
-    if err > HERM_TOL:
-        raise NotHermitian(f"max|a - a†| = {err:.3e}")
+    a = _hermitian(as_operator(a))
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
@@ -96,47 +112,41 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(pair_values((rho, sigma), [0], [1], "distance")[0])
 
 
-def sign_matrices(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues ``w`` of each Hermitian matrix in a stack, and its sign
-    matrix ``S = V sign(w) V†``: the contraction with ``Tr(S X) = ‖X‖₁``."""
+def spectral_map(blocks: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues ``w`` of each Hermitian matrix in a stack
+    ``(..., d, d)``, and each ``V f(w) V†``; ``f`` maps all of ``w`` at once."""
     w, v = np.linalg.eigh(blocks)
-    return w, (v * np.sign(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return w, (v * f(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _psd_spectrum(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a PSD Hermitian matrix, with the
-    cut-offs of :func:`mat_sqrt_psd`."""
-    dec = herm_eig(a)
-    w = dec.eigenvalues
-    if float(np.min(w)) < PSD_TOL:
+def _psd_cut(w: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    """Ascending PSD eigenvalues; those :func:`mat_sqrt_psd` zeroes become ``fill``."""
+    if float(np.min(w, initial=0.0)) < PSD_TOL:
         raise NotPSD(f"minimum eigenvalue {np.min(w):.3e}")
     w = np.clip(w, 0.0, None)
-    if float(w.max()) > 0.0:
-        w[w <= 1e-14 * w.max()] = 0.0
-    return w, dec.eigenvectors
+    return np.where(w <= 1e-14 * w[..., -1:], fill, w)
 
 
 def mat_sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix.
+    """Principal square root of a PSD Hermitian matrix, or of each matrix in
+    a stack ``(..., d, d)``, equal bit for bit to the per-matrix roots.
 
     Eigenvalues in [-1e-10, 0) are clamped to zero; anything lower raises
-    NotPSD.  Eigenvalues below 1e-14 of the largest are zeroed outright so
-    rank-deficient inputs do not pick up O(sqrt(eps)) dust in the null
-    space.
+    NotPSD.  Eigenvalues below 1e-14 of their matrix's largest are zeroed
+    outright so rank-deficient inputs do not pick up O(sqrt(eps)) dust in
+    the null space.
     """
-    w, v = _psd_spectrum(a)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return spectral_map(_hermitian(a), lambda w: np.sqrt(_psd_cut(w)))[1]
 
 
 def mat_pinv_sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of the square root of a PSD Hermitian matrix.
+    """Pseudo-inverse of the square root of a PSD Hermitian matrix, or of
+    each matrix in a stack.
 
     Same cut-offs as :func:`mat_sqrt_psd`: the eigenvalues it zeroes stay
     zero, and every other one becomes ``1/sqrt(w)``.
     """
-    w, v = _psd_spectrum(a)
-    pos = w > 0.0
-    return (v[:, pos] / np.sqrt(w[pos])) @ v[:, pos].conj().T
+    return spectral_map(_hermitian(a), lambda w: 1.0 / np.sqrt(_psd_cut(w, np.inf)))[1]
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -165,21 +175,19 @@ def pair_values(states: Sequence[np.ndarray], first, second, kind: str) -> np.nd
 
     Entries equal the per-pair functions bit for bit.  Pairs go through one
     batched ``eigvalsh`` or ``svd`` per block of at most 64, and each block
-    stacks only its own pairs; the fidelity takes one square root per state
-    that some pair reads.
+    stacks only its own pairs; the fidelity roots the states that some pair
+    reads in one stacked :func:`mat_sqrt_psd` call.
     """
     first = np.asarray(first, dtype=int)
     second = np.asarray(second, dtype=int)
-    if kind == "distance":
-        stack = np.asarray(states, dtype=complex)
-    elif kind == "fidelity":
+    if kind not in ("distance", "fidelity"):
+        raise OutOfRange(f"unknown kind {kind!r}")
+    stack = np.array(states, dtype=complex)
+    if kind == "fidelity":
         used = np.zeros(len(states), dtype=bool)
         used[first] = used[second] = True
-        stack = np.empty((len(states),) + np.shape(states[0]), dtype=complex)
-        for i in np.flatnonzero(used):
-            stack[i] = mat_sqrt_psd(states[i])
-    else:
-        raise OutOfRange(f"unknown kind {kind!r}")
+        if used.any():
+            stack[used] = mat_sqrt_psd(stack[used])
     out = np.empty(len(first))
     for s in range(0, len(first), _PAIR_BLOCK):
         x, y = stack[first[s : s + _PAIR_BLOCK]], stack[second[s : s + _PAIR_BLOCK]]

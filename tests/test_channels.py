@@ -7,6 +7,7 @@ from ensemble_metrics.channels import (
     GeneralizedMeasurement,
     WorstCaseOptions,
     _as_real,
+    _cost_gradients,
     _InputScore,
     _lifted,
     apply_measurement,
@@ -33,7 +34,13 @@ from ensemble_metrics.errors import (
 )
 from ensemble_metrics.ehs import ehs_distance, ehs_fidelity
 from ensemble_metrics.kantorovich import kantorovich_distance, kantorovich_fidelity
-from ensemble_metrics.linalg import partial_trace, tensor, trace_distance
+from ensemble_metrics.linalg import (
+    mat_pinv_sqrt_psd,
+    mat_sqrt_psd,
+    partial_trace,
+    tensor,
+    trace_distance,
+)
 from ensemble_metrics.oracle import random_density, random_measurement, random_unitary
 
 E0 = np.array([1.0, 0.0])
@@ -343,6 +350,33 @@ def test_coupling_gradient_at_the_system_only_start(kind):
     gap, norm = _gradient_gap(score, x)
     assert norm > 1e-3
     assert gap <= 1e-6
+
+
+def _per_cell_fidelity_gradients(omega, cells):
+    """``∂F/∂ρ = ½ √σ (√σ ρ √σ)^{+½} √σ`` and its mirror, one cell and one
+    root at a time."""
+
+    def towards(rho, sigma):
+        root = mat_sqrt_psd(sigma)
+        return 0.5 * root @ mat_pinv_sqrt_psd(root @ rho @ root) @ root
+
+    return [(towards(omega[u], omega[v]), towards(omega[v], omega[u])) for u, v in cells]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_fidelity_cost_gradients_equal_the_per_cell_formula(d):
+    rng = np.random.default_rng(40 + d)
+    for _ in range(6):
+        n = int(rng.integers(2, 7))
+        ranks = rng.integers(1, d + 1, size=n)
+        omega = [random_density(d, int(r), seed=int(rng.integers(2**31))) for r in ranks]
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        cells = [pairs[k] for k in rng.permutation(len(pairs))[: int(rng.integers(1, len(pairs)))]]
+        got = _cost_gradients("fidelity", omega, cells)
+        want = _per_cell_fidelity_gradients(omega, cells)
+        assert len(got) == len(want)
+        for (gu, gv), (wu, wv) in zip(got, want):
+            assert np.array_equal(gu, wu) and np.array_equal(gv, wv)
 
 
 def test_worst_case_evaluation_counts():

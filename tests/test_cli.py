@@ -164,6 +164,18 @@ def test_exhausted_budget_exits_4_but_reports(capsys, monkeypatch):
     assert lo - 1e-9 <= report["value"] <= hi + 1e-9
 
 
+def test_fid_max_iter_caps_each_start_of_the_ascent(capsys, monkeypatch):
+    # with no sweep allowed every start stays where it began, unconverged
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    code = main(_expand(["fid", "bell.json", "prods.json", "--method", "ehs", "--max-iter", "0"]))
+    report = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert report["solver"]["iterations"] == 0
+    assert report["solver"]["converged"] is False
+    lo, hi = report["bracket"]
+    assert lo - 1e-9 <= report["value"] <= hi + 1e-9
+
+
 def test_invalid_measurement_exits_5(capsys, monkeypatch):
     monkeypatch.delenv(SEED_ENV, raising=False)
     code = main(_expand(["channel", "measbad.json", "measz.json"]))

@@ -23,7 +23,8 @@ from ensemble_metrics.ensembles import (
     pure_state,
     unify_support,
 )
-from ensemble_metrics.errors import NotPure
+from ensemble_metrics.channels import WorstCaseOptions
+from ensemble_metrics.errors import InvalidParams, NotPure
 from ensemble_metrics.kantorovich import (
     Coupling,
     LpSolution,
@@ -160,14 +161,14 @@ def test_budget_exhaustion_is_reported():
 
 def test_fidelity_ascent_reports_the_start_it_returns(monkeypatch):
     # With w close to all-ones the ascent from the product tables still gains
-    # more than 1e-10 a sweep when the 2000-sweep cap stops it.  A coupling
+    # more than 1e-10 a sweep when a 2000-sweep cap stops it.  A coupling
     # start on the off-diagonal cells keeps its zero pattern and stalls at
     # once, lower; the returned value is the unfinished product start's.
     p = q = np.array([0.5, 0.5])
     w = np.array([[1.0, 0.999], [0.999, 1.0]])
     off = LpSolution(0.999, Coupling(np.array([[0.0, 0.5], [0.5, 0.0]])), 0, "optimal")
     monkeypatch.setattr(ehs, "transportation_lp", lambda *args: off)
-    val, _, sweeps, converged, _ = ehs._bca(p, q, w, SolverOptions(restarts=0))
+    val, _, sweeps, converged, _ = ehs._bca(p, q, w, SolverOptions(max_iter=2000, restarts=0))
     assert sweeps == 1 + 2000
     assert val > 0.999 + 1e-4
     assert not converged
@@ -179,6 +180,22 @@ def test_solver_options_defaults():
     assert opts.max_iter == 5000
     assert opts.restarts == 8
     assert opts.seed == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SolverOptions(seed=-1),
+    lambda: SolverOptions(tol=float("nan")),
+    lambda: SolverOptions(tol=0.0),
+    lambda: SolverOptions(tol=float("inf")),
+    lambda: SolverOptions(max_iter=2.5),
+    lambda: SolverOptions(restarts=True),
+    lambda: WorstCaseOptions(max_steps=-1),
+    lambda: WorstCaseOptions(seed=1.0),
+], ids=["seed", "tol-nan", "tol-zero", "tol-inf", "max_iter", "restarts-bool",
+        "max_steps", "worst-seed"])
+def test_options_reject_invalid_values(make):
+    with pytest.raises(InvalidParams):
+        make()
 
 
 def test_seed_determinism():

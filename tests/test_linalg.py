@@ -222,6 +222,35 @@ def test_mat_pinv_sqrt_psd_inverts_the_root_on_the_support():
         mat_pinv_sqrt_psd(np.diag([1.0, -0.5]))
 
 
+@pytest.mark.parametrize("root", [mat_sqrt_psd, mat_pinv_sqrt_psd])
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_stacked_roots_equal_per_matrix_roots_bit_for_bit(root, d):
+    rng = np.random.default_rng(30 + d)
+    mats = [_rand_state(rng, d, r) for r in range(1, d + 1) for _ in range(3)]
+    mats.append(np.zeros((d, d)))
+    stacked = root(np.asarray(mats))
+    assert stacked.shape == (len(mats), d, d)
+    for got, mat in zip(stacked, mats):
+        assert np.array_equal(got, root(mat))
+    # any leading shape
+    assert np.array_equal(root(np.asarray(mats[:4]).reshape(2, 2, d, d))[1, 0], root(mats[2]))
+
+
+@pytest.mark.parametrize("root", [mat_sqrt_psd, mat_pinv_sqrt_psd])
+def test_stacked_roots_check_every_member(root):
+    good = _rand_density(3, 1)
+    non_psd = np.diag([0.5, 0.7, -0.2])
+    non_herm = good + np.triu(np.full((3, 3), 1e-9), 1)
+    with pytest.raises(NotPSD):
+        root(np.asarray([good, non_psd, good]))
+    with pytest.raises(NotHermitian):
+        root(np.asarray([good, good, non_herm]))
+    with pytest.raises(DimMismatch):
+        root(np.zeros((2, 3, 2)))
+    with pytest.raises(ValueError):
+        root(np.asarray([good, np.full((3, 3), np.nan)]))
+
+
 def test_von_neumann_entropy_limits():
     assert von_neumann_entropy(KET0) == 0.0
     assert abs(von_neumann_entropy(np.eye(4) / 4) - 2.0) <= 1e-12

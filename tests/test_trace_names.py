@@ -1,12 +1,18 @@
 """The benchmark's tracer patches functions by name; a rename in the library
 would leave it tracing nothing.  Check that every name it lists still
-resolves, loading `perfbench/spans.py` by path and nothing else of the
-benchmark."""
+resolves, and that every solver attribute it records exists, loading
+`perfbench/spans.py` by path and nothing else of the benchmark."""
 
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+
+import numpy as np
+
+from ensemble_metrics.ehs import ehs_distance, ehs_fidelity
+from ensemble_metrics.kantorovich import transportation_lp
+from ensemble_metrics.oracle import random_ensemble
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -27,3 +33,17 @@ def test_traced_names_resolve_to_library_functions():
     channels = importlib.import_module("ensemble_metrics.channels")
     for attr in spans.SCORE_NAMES:
         assert attr in vars(channels), f"{attr} is not a global of ensemble_metrics.channels"
+
+
+def test_traced_attributes_exist_on_solver_results():
+    # the tracer reads solver effort off the objects these functions return
+    spans = _spans_module()
+    a, b = random_ensemble(2, 3, seed=5), random_ensemble(2, 3, seed=6)
+    results = {
+        "kantorovich.transportation_lp": transportation_lp(a.probs, b.probs, 1.0 - np.eye(3)),
+        "ehs.ehs_distance": ehs_distance(a, b),
+        "ehs.ehs_fidelity": ehs_fidelity(a, b),
+    }
+    for name, result in results.items():
+        attrs = spans._attrs(name, result)
+        assert attrs, f"the tracer records nothing for {name}"
