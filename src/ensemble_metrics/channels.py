@@ -361,11 +361,13 @@ def _sphere_search(evaluate, dim: int, wopts: WorstCaseOptions, starts_extra):
     ``evaluate(x)`` returns the score at the unit vector ``x`` and a
     function that gives the score's gradient there; the search asks for the
     gradient only at the points it accepts.  Each step goes along the
-    tangent gradient, from length 0.5 and halving until the score rises.  A
-    start stops when the tangent gradient norm falls to ``GRAD_NORM_TOL``,
-    when no step rises, or after ``max_steps``.  Returns the best value
-    found (a lower bound on the true maximum), its point, the steps taken
-    and the number of starts that met ``GRAD_NORM_TOL``.
+    tangent gradient and halves its length until the score rises; the first
+    length tried is twice the start's last accepted one (0.25 before its
+    first step), capped at 0.5.  A start stops when the tangent gradient
+    norm falls to ``GRAD_NORM_TOL``, when no step rises, or after
+    ``max_steps``.  Returns the best value found (a lower bound on the true
+    maximum), its point, the steps taken and the number of starts that met
+    ``GRAD_NORM_TOL``.
     """
     rng = np.random.default_rng(wopts.seed)
     starts = [np.asarray(s, dtype=complex).reshape(-1) for s in starts_extra]
@@ -378,6 +380,7 @@ def _sphere_search(evaluate, dim: int, wopts: WorstCaseOptions, starts_extra):
     for psi in starts:
         x = _as_real(_unit(psi))
         val, gradient = evaluate(x)
+        last = 0.25
         for _ in range(wopts.max_steps):
             grad = gradient()
             grad -= (grad @ x) * x  # tangent component on the unit sphere
@@ -385,13 +388,13 @@ def _sphere_search(evaluate, dim: int, wopts: WorstCaseOptions, starts_extra):
             if gn <= GRAD_NORM_TOL:
                 stationary += 1
                 break
-            step = 0.5
+            step = min(0.5, 2.0 * last)
             moved = False
             while step > 1e-6:
                 cand = _unit(x + step * grad / gn)
                 cv, cg = evaluate(cand)
                 if cv > val + 1e-12:
-                    x, val, gradient, moved = cand, cv, cg, True
+                    x, val, gradient, moved, last = cand, cv, cg, True, step
                     break
                 step *= 0.5
             if not moved:

@@ -80,6 +80,15 @@ class JointPair:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
+    """What an extended-space solve returned and what it did.
+
+    ``iterations`` counts the distance iterations of :func:`ehs_distance`,
+    or the fidelity ascent's sweeps summed over all its starts, so a
+    fidelity report can show more iterations than ``max_iter``, which caps
+    each start.  ``bracket`` is ``(lower, upper)``; ``converged`` is False
+    when the returned solve ran out of its iteration budget.
+    """
+
     value: float
     joint_pair: JointPair
     iterations: int

@@ -1,20 +1,26 @@
 """The benchmark's tracer patches functions by name; a rename in the library
 would leave it tracing nothing.  Check that every name it lists still
-resolves, and that every solver attribute it records exists, loading
-`perfbench/spans.py` by path and nothing else of the benchmark."""
+resolves, that every solver attribute it records exists, and that its count
+of score evaluations agrees with the report, loading `perfbench/spans.py` by
+path and nothing else of the benchmark."""
 
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
+import json
 from pathlib import Path
 
 import numpy as np
 
+from ensemble_metrics.cli import main
 from ensemble_metrics.ehs import ehs_distance, ehs_fidelity
 from ensemble_metrics.kantorovich import transportation_lp
 from ensemble_metrics.oracle import random_ensemble
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _spans_module():
@@ -47,3 +53,23 @@ def test_traced_attributes_exist_on_solver_results():
     for name, result in results.items():
         attrs = spans._attrs(name, result)
         assert attrs, f"the tracer records nothing for {name}"
+
+
+def test_traced_score_evaluations_equal_the_reported_count():
+    # the per-layer count channels.score_evaluations reads the same searches
+    # as the report's solver.evaluations
+    spans = _spans_module()
+    argv = ["channel", str(DATA / "measz.json"), str(DATA / "measx.json"), "--compare", "worst",
+            "--worst-restarts", "1", "--worst-steps", "3"]
+    tracer = spans.Tracer()
+    tracer.install()
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    reported = json.loads(out.getvalue())["solver"]["evaluations"]
+    counted = spans.layer_metrics(tracer.spans, 1)["channels.score_evaluations"][0]
+    assert reported > 0
+    assert counted == reported
