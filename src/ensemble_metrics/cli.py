@@ -76,6 +76,20 @@ def _num(node, path: str) -> float:
 
 
 def _parse_matrix(node, path: str, dim: int) -> np.ndarray:
+    """A ``dim × dim`` matrix of ``[re, im]`` pairs.  A well-formed one of
+    finite JSON numbers converts in one call; anything else takes the
+    entry-by-entry walk, which names the first bad field."""
+    try:
+        if set(map(type, (x for row in node for cell in row for x in cell))) <= {int, float}:
+            out = np.array(node, dtype=float)
+            if out.shape == (dim, dim, 2) and np.isfinite(out).all():
+                return out.view(complex).reshape(dim, dim)
+    except (TypeError, ValueError, OverflowError):
+        pass  # malformed: the walk names the field
+    return _walk_matrix(node, path, dim)
+
+
+def _walk_matrix(node, path: str, dim: int) -> np.ndarray:
     if not isinstance(node, list) or len(node) != dim:
         raise ParseError(f"{path}: expected {dim} rows")
     out = np.zeros((dim, dim), dtype=complex)

@@ -169,6 +169,7 @@ def _solve_distance(obj: _DistanceObjective, start, opts: SolverOptions, lower: 
     _, y = spectral_map(obj.blocks(ptab, qtab), np.sign)
     dual_best = max(lower, 0.0)
     step = 1.0 / obj.step_norm
+    masses = np.concatenate([obj.p, obj.q])
     iterations = 0
     converged = False
     while iterations < opts.max_iter:
@@ -178,8 +179,10 @@ def _solve_distance(obj: _DistanceObjective, start, opts: SolverOptions, lower: 
         y = 0.5 * (y + y.conj().swapaxes(-1, -2))
         _, y = spectral_map(y, lambda w: np.clip(w, -1.0, 1.0))
         gp, gq = obj.contract(y)
-        pnew = project_rows_to_simplex(ptab - step * gp, obj.p)
-        qnew = project_rows_to_simplex((qtab - step * gq).T, obj.q).T
+        # the P rows and the Q columns, projected row by row in one call
+        moved = np.concatenate([ptab - step * gp, (qtab - step * gq).T])
+        rows = project_rows_to_simplex(moved, masses)
+        pnew, qnew = rows[: obj.n], rows[obj.n :].T
         pbar, qbar = 2.0 * pnew - ptab, 2.0 * qnew - qtab
         ptab, qtab = pnew, qnew
         if iterations % 5 == 0 or iterations == opts.max_iter:

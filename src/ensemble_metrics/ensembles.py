@@ -8,6 +8,7 @@ agree up to 1e-9 are merged on construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,6 +108,15 @@ _SCREEN_TOL = 2.0 * DISTINCT_TOL
 _SCREEN_BLOCK = 64
 
 
+@lru_cache(maxsize=None)
+def _screen_direction(length: int) -> np.ndarray:
+    """The fixed unit direction the screen projects on, read-only."""
+    direction = np.sin(np.arange(1.0, length + 1.0))
+    direction = direction / np.linalg.norm(direction)
+    direction.flags.writeable = False
+    return direction
+
+
 def _near_pairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairs ``i < j`` of a stack of states within 1e-9 in trace distance.
 
@@ -121,10 +131,11 @@ def _near_pairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = len(stack)
     herm = (stack + stack.conj().swapaxes(1, 2)) / 2.0
     v = herm.reshape(n, -1).view(float)
-    direction = np.sin(np.arange(1.0, v.shape[1] + 1.0))
-    shadow = v @ (direction / np.linalg.norm(direction))
+    shadow = v @ _screen_direction(v.shape[1])
     order = np.argsort(shadow, kind="stable")
     reach = np.searchsorted(shadow[order], shadow[order] + 2.0 * _SCREEN_TOL, side="right")
+    if np.array_equal(reach, np.arange(1, n + 1)):  # no two states within reach
+        return np.empty(0, dtype=int), np.empty(0, dtype=int)
     pairs = np.array(
         [(order[a], order[b]) for a in range(n) for b in range(a + 1, reach[a])], dtype=int
     ).reshape(-1, 2)
@@ -149,6 +160,8 @@ def merge_near_equal(
     weight (a number or a row) to the first such state."""
     stack = np.asarray(states, dtype=complex)
     first, second = _near_pairs(stack)
+    if not len(first):  # every state is kept with its own weight
+        return list(range(len(stack))), np.array(weights, dtype=float), np.arange(len(stack))
     near: dict[int, list[int]] = {}
     for k, i in sorted(zip(first.tolist(), second.tolist())):
         near.setdefault(i, []).append(k)
@@ -210,13 +223,21 @@ def make_ensemble(pairs: Iterable[tuple[float, np.ndarray]]) -> Ensemble:
         raise error
     if stop is not None:
         raise stop
-    if not mats:
+    return _assemble(stack, probs, taken, len(pairs))
+
+
+def _assemble(stack: np.ndarray, probs, taken, count: int) -> Ensemble:
+    """The Ensemble of a stack of valid states with positive ``probs``,
+    state ``k`` given as pair ``taken[k]`` of ``count``: near-equal states
+    merge, the probabilities are renormalized when their sum is within 1e-8
+    of one, and ``index`` records where each pair went."""
+    if not len(stack):
         raise EmptyEnsemble("no states with positive probability")
     kept, merged, into = merge_near_equal(stack, probs)
     total = float(sum(merged))
     if abs(total - 1.0) > PROB_TOL:
         raise InvalidState(f"probabilities sum to {total}, expected 1")
-    index = np.full(len(pairs), -1)
+    index = np.full(count, -1)
     index[taken] = into
     return Ensemble(tuple(stack[kept]), merged / total, index)
 

@@ -35,6 +35,7 @@ from ensemble_metrics.errors import (
     InvalidMeasurement,
     InvalidParams,
     InvalidPovm,
+    InvalidState,
 )
 from ensemble_metrics.ehs import ehs_distance, ehs_fidelity
 from ensemble_metrics.kantorovich import kantorovich_distance, kantorovich_fidelity
@@ -153,6 +154,111 @@ def test_apply_measurement_probabilities():
 def test_apply_measurement_dim_mismatch():
     with pytest.raises(DimMismatch):
         apply_measurement(_z_meas(), np.eye(3) / 3)
+
+
+def _per_kraus_outputs(m, rho):
+    """Output ensemble of ``m`` at ``rho`` one outcome and one Kraus
+    operator at a time, every post-state validated by make_ensemble: the
+    reference for the stacked kernel."""
+    pairs, taken = [], []
+    for i, (w, kraus) in enumerate(m.outcomes):
+        out = np.zeros_like(rho)
+        for k in kraus:
+            out += k @ rho @ k.conj().T
+        tr = float(np.real(np.trace(out)))
+        if w * tr <= 0.0:
+            continue
+        pairs.append((w * tr, out / tr))
+        taken.append(i)
+    ens = make_ensemble(pairs)
+    index = np.full(len(m), -1)
+    index[taken] = ens.index
+    return ens.states, ens.probs, index
+
+
+def _score_cases():
+    """``(m, a_dim, x)``: random instruments at d = 2, 3 with 1-3 Kraus
+    operators per outcome at random inputs; Z at |00>, where its second
+    outcome has probability zero; and a measurement whose two outcomes
+    both leave |0> at a product input, so their post-states merge."""
+    cases = []
+    for d in (2, 3):
+        for kraus in (1, 2, 3):
+            m = random_measurement(d, 3, seed=100 + 10 * d + kraus, kraus_per_outcome=kraus)
+            for a_dim in (1, d):
+                cases += [(m, a_dim, _random_input(a_dim * d, s)) for s in range(3)]
+    cases.append((_z_meas(), 2, _as_real(np.kron(E0, E0).astype(complex))))
+    decay = make_measurement(
+        [(0.5, [np.sqrt(2.0) * np.outer(E0, E0)]), (0.5, [np.sqrt(2.0) * np.outer(E0, E1)])]
+    )
+    product = np.kron(random_unitary(2, seed=5)[:, 0], random_unitary(2, seed=6)[:, 0])
+    cases.append((decay, 2, _as_real(product)))
+    return cases
+
+
+def test_score_outputs_equal_the_per_kraus_reference():
+    # the stacked kernel sums each outcome's terms in Kraus-list order, so
+    # states, probabilities and index agree bit for bit at any Kraus count
+    zero = merged = 0
+    for m, a_dim, x in _score_cases():
+        score = _InputScore(m, m, "distance", "kantorovich", None, a_dim)
+        psi, (got, _) = score.outputs(x)
+        states, probs, index = _per_kraus_outputs(_lifted(m, a_dim), np.outer(psi, psi.conj()))
+        assert len(got.states) == len(states)
+        assert all(np.array_equal(a, b) for a, b in zip(got.states, states))
+        assert np.array_equal(got.probs, probs)
+        assert np.array_equal(got.index, index)
+        zero += int(np.any(index < 0))
+        merged += int(len(set(index.tolist())) < len(index))
+    assert zero >= 1 and merged >= 1
+
+
+def test_apply_measurement_equals_the_per_kraus_reference():
+    for m, a_dim, x in _score_cases():
+        lifted = _lifted(m, a_dim)
+        psi = _unit(_as_complex(x))
+        rho = np.outer(psi, psi.conj())
+        got = apply_measurement(lifted, rho)
+        states, probs, index = _per_kraus_outputs(lifted, rho)
+        assert all(np.array_equal(a, b) for a, b in zip(got.states, states))
+        assert np.array_equal(got.probs, probs) and np.array_equal(got.index, index)
+
+
+@pytest.mark.parametrize(
+    "rho, error",
+    [
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), InvalidState),  # not Hermitian
+        (np.diag([1.2, -0.2]), InvalidState),  # a negative eigenvalue
+        (np.diag([0.7, 0.7]), InvalidState),  # trace 1.4
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), ValueError),
+        (np.ones((2, 3)) / 2, DimMismatch),
+    ],
+)
+def test_apply_measurement_still_rejects_invalid_inputs(rho, error):
+    m = random_measurement(2, 2, seed=7)
+    with pytest.raises(error) as found:
+        apply_measurement(m, rho)
+    if error is InvalidState:
+        with pytest.raises(InvalidState) as want:
+            _per_kraus_outputs(m, rho.astype(complex))
+        assert str(found.value) == str(want.value)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_score_checks_outcomes_of_roundoff_probability(seed):
+    # at a basis vector of a rotated projective measurement the other
+    # outcomes keep probabilities of order 1e-17 whose post-states are
+    # rounding noise; the score refuses them as apply_measurement does
+    u = random_unitary(3, seed=seed)
+    m = projective_measurement(u.T)
+    x = _as_real(u[:, 0].astype(complex))
+    score = _InputScore(m, m, "distance", "kantorovich", None, 1)
+    with pytest.raises(InvalidState) as found:
+        score.outputs(x)
+    psi = _unit(_as_complex(x))
+    with pytest.raises(InvalidState) as want:
+        apply_measurement(m, np.outer(psi, psi.conj()))
+    assert str(found.value) == str(want.value)
 
 
 def test_is_unital():

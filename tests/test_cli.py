@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from ensemble_metrics.cli import (
     SEED_ENV,
+    _parse_matrix,
+    _walk_matrix,
     build_parser,
     ensemble_to_json,
     main,
@@ -116,6 +118,10 @@ NONFINITE_CASES = [
     ("weight-nan", "channel", "measz.json", "measx.json", ("outcomes", 0, "weight"), math.nan),
     ("kraus-nan", "channel", "measz.json", "measx.json", ("outcomes", 0, "kraus", 0, 0, 0, 0), math.nan),
     ("povm-nan", "povm", "povmz.json", "povmx.json", ("elements", 0, 0, 0, 0), math.nan),
+    ("rho-bool", "dist", "classic_p.json", "classic_q.json", ("states", 0, "rho", 1, 0, 1), False),
+    ("rho-string", "fid", "classic_p.json", "classic_q.json", ("states", 1, "rho", 0, 0, 0), "0.5"),
+    ("rho-triple", "dist", "classic_p.json", "classic_q.json", ("states", 0, "rho", 0, 1), [0, 0, 0]),
+    ("rho-ragged", "dist", "classic_p.json", "classic_q.json", ("states", 1, "rho", 1), [[0, 0]]),
 ]
 
 
@@ -141,6 +147,21 @@ def test_malformed_numbers_exit_2(command, target, other, where, value, tmp_path
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_whole_matrix_conversion_equals_the_entry_walk():
+    # ints, floats and signed zeros convert to the same bits either way
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 4):
+        cells = rng.normal(size=(dim, dim, 2)).tolist()
+        cells[0][0] = [-0.0, 2]
+        cells[-1][-1] = [10**300, -0.0]
+        for node in (cells, json.loads(json.dumps(cells))):
+            fast = _parse_matrix(node, "m", dim)
+            walked = _walk_matrix(node, "m", dim)
+            assert fast.shape == (dim, dim) and fast.dtype == complex
+            assert np.array_equal(fast.view(float), walked.view(float))
+            assert np.array_equal(np.signbit(fast.view(float)), np.signbit(walked.view(float)))
 
 
 def test_dim_mismatch_exits_3(capsys, monkeypatch):

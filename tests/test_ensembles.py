@@ -5,6 +5,7 @@ from ensemble_metrics import kantorovich
 from ensemble_metrics.channels import make_measurement
 from ensemble_metrics.ensembles import (
     DISTINCT_TOL,
+    _near_pairs,
     average_entropy,
     average_state,
     canonical_ehs_state,
@@ -231,6 +232,22 @@ def test_merge_screen_agrees_with_the_full_matrix_rule():
         split += len(kept)
     # both outcomes of the rule occur
     assert merged >= 30 and split >= 60
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_no_near_pair_leaves_every_state_and_weight_in_place(d):
+    # one state, and a stack whose states are all far apart: the screen
+    # leaves no candidate, so no pair reaches the exact trace distance
+    distant = [random_density(d, d, seed=300 + k) for k in range(6)]
+    for states in ([distant[0]], distant):
+        first, second = _near_pairs(np.asarray(states, dtype=complex))
+        for pairs in (first, second):
+            assert pairs.shape == (0,) and pairs.dtype.kind == "i"
+        weights = list(np.random.default_rng(d).dirichlet(np.ones(len(states))))
+        kept, sums, index = merge_near_equal(states, weights)
+        assert kept == list(range(len(states)))
+        assert np.array_equal(sums, np.asarray(weights))
+        assert index.tolist() == list(range(len(states))) and index.dtype.kind == "i"
 
 
 def _nonherm(d):

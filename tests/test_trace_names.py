@@ -57,19 +57,20 @@ def test_traced_attributes_exist_on_solver_results():
 
 def test_traced_score_evaluations_equal_the_reported_count():
     # the per-layer count channels.score_evaluations reads the same searches
-    # as the report's solver.evaluations
+    # as the report's solver.evaluations, for either measure
     spans = _spans_module()
-    argv = ["channel", str(DATA / "measz.json"), str(DATA / "measx.json"), "--compare", "worst",
-            "--worst-restarts", "1", "--worst-steps", "3"]
-    tracer = spans.Tracer()
-    tracer.install()
-    out = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out):
-            assert main(argv) == 0
-    finally:
-        tracer.uninstall()
-    reported = json.loads(out.getvalue())["solver"]["evaluations"]
-    counted = spans.layer_metrics(tracer.spans, 1)["channels.score_evaluations"][0]
-    assert reported > 0
-    assert counted == reported
+    for measure in ("dist", "fid"):
+        argv = ["channel", str(DATA / "measz.json"), str(DATA / "measx.json"), "--compare",
+                "worst", "--measure", measure, "--worst-restarts", "1", "--worst-steps", "3"]
+        tracer = spans.Tracer()
+        tracer.install()
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+        finally:
+            tracer.uninstall()
+        reported = json.loads(out.getvalue())["solver"]["evaluations"]
+        counted = spans.layer_metrics(tracer.spans, 1)["channels.score_evaluations"][0]
+        assert reported > 0, measure
+        assert counted == reported, measure
