@@ -22,7 +22,7 @@ minimum fidelity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,12 +31,12 @@ from .ehs import SolverOptions, check_counts, ehs_distance, ehs_fidelity
 from .ensembles import (
     Ensemble,
     _assemble,
-    _first_invalid,
     average_state,
+    check_density,
     make_ensemble,
     merge_near_equal,
 )
-from .errors import DimMismatch, InvalidMeasurement, InvalidParams, InvalidPovm
+from .errors import DimMismatch, InvalidMeasurement, InvalidParams, InvalidPovm, InvalidState
 from .kantorovich import kantorovich_distance, kantorovich_fidelity
 from .linalg import as_operator, mat_pinv_sqrt_psd, mat_sqrt_psd, partial_trace, spectral_map
 
@@ -69,16 +69,19 @@ class Povm:
     def __len__(self) -> int:
         return len(self.elements)
 
-
-def _choi_states(outcomes, d: int) -> list[np.ndarray]:
-    """Choi state ``(I ⊗ K)(Φ)`` of each ``(weight, Kraus list)`` outcome,
-    with ``Φ`` maximally entangled on ``d × d``.
-
-    ``(I ⊗ K)|Φ⟩`` is ``Kᵀ`` flattened row by row and divided by ``√d``, so
-    each state is one product of its outcome's stacked vectors.
-    """
-    vecs = (np.reshape([k.T for k in kraus], (-1, d * d)) / np.sqrt(d) for _, kraus in outcomes)
-    return [v.T @ v.conj() for v in vecs]
+    @cached_property
+    def _ensemble(self) -> Ensemble:
+        """:func:`povm_to_ensemble`, built once: :func:`make_povm` builds
+        it to check that it exists."""
+        pairs = []
+        for e in self.elements:
+            tr = float(np.real(np.trace(e)))
+            if tr <= 0.0:
+                continue
+            pairs.append((tr / self.dim, e / tr))
+        if not pairs:
+            raise InvalidPovm("no element with positive trace")
+        return make_ensemble(pairs)
 
 
 def make_measurement(outcomes) -> GeneralizedMeasurement:
@@ -125,15 +128,13 @@ def make_measurement(outcomes) -> GeneralizedMeasurement:
             f"outcome weights sum to {total:.12g} (residual {abs(total - 1.0):.3e})"
         )
 
-    comp = np.zeros((dim, dim), dtype=complex)
-    for w, kraus in cleaned:
-        for k in kraus:
-            comp += w * (k.conj().T @ k)
+    stack = _kraus_stack(GeneralizedMeasurement(tuple(cleaned), dim))
+    comp = sum(w * gram for w, gram in zip(stack.weights, stack.grams))
     residual = float(np.linalg.norm(comp - np.eye(dim)))
     if residual > MEAS_TOL * dim:
         raise InvalidMeasurement(f"completeness residual norm {residual:.3e}")
 
-    kept, weights, _ = merge_near_equal(_choi_states(cleaned, dim), [w for w, _ in cleaned])
+    kept, weights, _ = merge_near_equal(_choi_states(stack, dim), stack.weights)
     merged = tuple((float(w), cleaned[i][1]) for i, w in zip(kept, weights))
     return GeneralizedMeasurement(merged, dim)
 
@@ -185,7 +186,9 @@ def compose_measurements(
 
 
 def make_povm(elements) -> Povm:
-    """Validate a POVM: PSD elements summing to the identity within 1e-8."""
+    """Validate a POVM: PSD elements summing to the identity within 1e-8,
+    whose ensemble (:func:`povm_to_ensemble`) exists.  Each element of
+    positive trace, divided by it, must be a density matrix to 1e-10."""
     mats = [as_operator(e) for e in elements]
     if not mats:
         raise InvalidPovm("empty element list")
@@ -202,7 +205,12 @@ def make_povm(elements) -> Povm:
     residual = float(np.linalg.norm(acc - np.eye(d)))
     if residual > MEAS_TOL * d:
         raise InvalidPovm(f"elements sum residual norm {residual:.3e}")
-    return Povm(tuple(mats), d)
+    povm = Povm(tuple(mats), d)
+    try:
+        povm_to_ensemble(povm)
+    except InvalidState as exc:
+        raise InvalidPovm(f"elements give no ensemble: {exc}") from None
+    return povm
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,36 +246,57 @@ def _kraus_stack(m: GeneralizedMeasurement) -> _KrausStack:
     return _KrausStack(m.weights, kraus, kraus.conj().swapaxes(1, 2), first, slots)
 
 
-def _post_states(stack: _KrausStack, rho: np.ndarray):
-    """The outcomes that occur at ``rho`` (``w Tr > 0``; a NaN is kept for
-    validation to refuse), their probabilities ``w Tr`` and their post-states
-    ``Σ_j K_j ρ K_j† / Tr``, all from one batched product; each sum runs in
-    Kraus-list order."""
-    terms = stack.kraus @ rho @ stack.adjoints
-    post = np.zeros((len(stack.weights),) + rho.shape, dtype=complex)
+def _post_states(stack: _KrausStack, factors: np.ndarray) -> np.ndarray:
+    """Each outcome's unnormalized post-state ``Σ_j Y_j Y_j†``, given one
+    factor ``Y_j`` per Kraus operator, stacked as ``stack.kraus`` is; each
+    sum runs in Kraus-list order.
+
+    ``K_j B`` with ``B B† = ρ`` gives ``Σ_j K_j ρ K_j†``.  A sum of ``Y Y†``
+    products is Hermitian and positive semidefinite up to rounding relative
+    to its own trace, so divided by that trace it is a density matrix far
+    inside the 1e-10 of :func:`check_density`, even where the trace itself
+    is of rounding size, as long as it is a normal float.
+    """
+    terms = factors @ factors.conj().swapaxes(1, 2)
+    post = np.zeros((len(stack.weights),) + terms.shape[1:], dtype=complex)
     for outcomes, rows in stack.slots:
         post[outcomes] += terms[rows]
+    return post
+
+
+def _outcome_ensemble(weights: np.ndarray, post: np.ndarray) -> Ensemble:
+    """The ensemble of outcome probabilities ``w Tr`` and post-states
+    ``post / Tr``: zero-probability outcomes are dropped (a subnormal trace,
+    rounded on an absolute grid, counts as zero), near-equal states merge,
+    and ``index`` gives, for each outcome, the state it went into, or -1.
+    The states are not re-validated (see :func:`_post_states`)."""
     tr = np.trace(post, axis1=1, axis2=2).real
-    probs = stack.weights * tr
-    taken = np.flatnonzero(~(probs <= 0.0))
-    return taken, probs[taken], post[taken] / tr[taken, None, None]
+    probs = weights * tr
+    taken = np.flatnonzero((probs > 0.0) & (tr >= np.finfo(float).tiny))
+    return _assemble(post[taken] / tr[taken, None, None], probs[taken], taken, len(weights))
+
+
+def _choi_states(stack: _KrausStack, d: int) -> np.ndarray:
+    """Unnormalized Choi state ``(I ⊗ K)(Φ)`` of each outcome, with ``Φ``
+    maximally entangled on ``d × d``: ``(I ⊗ K_j)|Φ⟩`` is ``K_jᵀ`` flattened
+    row by row and divided by ``√d``."""
+    return _post_states(stack, stack.kraus.swapaxes(1, 2).reshape(-1, d * d, 1) / np.sqrt(d))
 
 
 def apply_measurement(m: GeneralizedMeasurement, rho: np.ndarray) -> Ensemble:
-    """Output ensemble ``{(m_i Tr Mbar_i(rho), Mbar_i(rho) normalized)}``.
+    """Output ensemble ``{(m_i Tr Mbar_i(rho), Mbar_i(rho) normalized)}`` of a
+    density matrix ``rho`` (valid to 1e-10, checked once).
 
-    Zero-probability outcomes are dropped and identical post-states merge;
-    the ensemble's ``index`` gives, for each outcome, the state it went
-    into, or -1.
+    Each post-state is built from the factors ``Mbar_ij √rho``, so it is a
+    density matrix by construction.  Zero-probability outcomes are dropped
+    and identical post-states merge; the ensemble's ``index`` gives, for
+    each outcome, the state it went into, or -1.
     """
-    rho = as_operator(rho)
+    rho = check_density(rho)
     if rho.shape[0] != m.dim:
         raise DimMismatch(f"state dim {rho.shape[0]}, measurement dim {m.dim}")
-    taken, probs, states = _post_states(_kraus_stack(m), rho)
-    ens = make_ensemble(zip(probs, states))
-    index = np.full(len(m), -1)
-    index[taken] = ens.index
-    return replace(ens, index=index)
+    stack = _kraus_stack(m)
+    return _outcome_ensemble(stack.weights, _post_states(stack, stack.kraus @ mat_sqrt_psd(rho)))
 
 
 def _lifted(m: GeneralizedMeasurement, a_dim: int) -> GeneralizedMeasurement:
@@ -284,18 +313,16 @@ def jamiolkowski_ensemble(m: GeneralizedMeasurement) -> Ensemble:
     """Ensemble obtained by measuring one half of a maximally entangled pair:
     each outcome's normalized Choi state, with probability weight × trace.
 
-    Outcome probabilities equal the measurement weights (the reduced input
-    on the untouched side is maximally mixed) and the average state keeps
-    its untouched marginal at I/d, which is re-checked here.  As in
+    The Choi states come from the post-state kernel with the factors
+    ``vec(Kᵀ)/√d``, so they are density matrices by construction.  Outcome
+    probabilities equal the measurement weights (the reduced input on the
+    untouched side is maximally mixed) and the average state keeps its
+    untouched marginal at I/d, which is re-checked here.  As in
     :func:`apply_measurement`, zero-probability outcomes are dropped.
     """
     d = m.dim
-    pairs = []
-    for (w, _), c in zip(m.outcomes, _choi_states(m.outcomes, d)):
-        tr = float(np.real(np.trace(c)))
-        if w * tr > 0.0:
-            pairs.append((w * tr, c / tr))
-    ens = make_ensemble(pairs)
+    stack = _kraus_stack(m)
+    ens = _outcome_ensemble(stack.weights, _choi_states(stack, d))
     marg = partial_trace(average_state(ens), (d, d), "A")
     if float(np.linalg.norm(marg - np.eye(d) / d)) > MARGINAL_TOL:
         raise InvalidMeasurement("average Choi state has a skewed untouched marginal")
@@ -539,12 +566,6 @@ def _coupling_gradient(kind: str, psi, outputs, coupling, stacks) -> np.ndarray:
     return 2.0 * (g @ psi)
 
 
-# Below this trace, times D³ on dimension D, a post-state of the worst-case
-# score takes the density-matrix check: D³ε / (1e-4 D³) is a 45th of the
-# 1e-10 of check_density.
-_FAINT_TRACE = 1e-4
-
-
 class _InputScore:
     """Score of the worst-case search: the signed ensemble measure of the two
     measurements' outputs at a pure input on ancilla (dim ``a_dim``) ⊗
@@ -573,28 +594,14 @@ class _InputScore:
 
     def outputs(self, x):
         """The unit input at ``x`` and both output ensembles there, as
-        :func:`apply_measurement` gives them.
-
-        A post-state ``Σ K ρ K† / Tr`` of the pure ``ρ`` is a density matrix
-        by construction, up to the rounding of two ``D × D`` products: with
-        ``Σ ‖K‖_F² = D`` (the outcome normalization, lifted), about
-        ``D³ ε / Tr`` in its Hermitian part and eigenvalues.  From a trace
-        of ``_FAINT_TRACE · D³`` on that is far inside the 1e-10 of
-        :func:`check_density`, so only fainter outcomes take its check; the
-        merge and the probability-sum check always run.
-        """
+        :func:`apply_measurement` gives them, from the factors ``K ψ``."""
         self.evaluations += 1
         psi = _unit(_as_complex(x))
-        rho = np.outer(psi, psi.conj())
-        ens = []
-        for stack in self.stacks:
-            taken, probs, states = _post_states(stack, rho)
-            faint = ~(probs >= _FAINT_TRACE * len(psi) ** 3 * stack.weights[taken])
-            error = _first_invalid(states[faint]) if faint.any() else None
-            if error is not None:
-                raise error
-            ens.append(_assemble(states, probs, taken, len(stack.weights)))
-        return psi, tuple(ens)
+        ens = tuple(
+            _outcome_ensemble(s.weights, _post_states(s, s.kraus @ psi[:, None]))
+            for s in self.stacks
+        )
+        return psi, ens
 
     def value(self, x) -> float:
         _, ens = self.outputs(x)
@@ -661,15 +668,7 @@ def fid_min(
 
 def povm_to_ensemble(p: Povm) -> Ensemble:
     """Ensemble ``{(Tr E_i / d, E_i / Tr E_i)}``; its average is I/d."""
-    pairs = []
-    for e in p.elements:
-        tr = float(np.real(np.trace(e)))
-        if tr <= 0.0:
-            continue
-        pairs.append((tr / p.dim, e / tr))
-    if not pairs:
-        raise InvalidPovm("no element with positive trace")
-    return make_ensemble(pairs)
+    return p._ensemble
 
 
 def _povm(p: Povm, q: Povm, kind: str, method: str, opts) -> float:

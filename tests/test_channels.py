@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensemble_metrics import channels
 from ensemble_metrics.channels import (
@@ -29,7 +31,14 @@ from ensemble_metrics.channels import (
     povm_to_ensemble,
     projective_measurement,
 )
-from ensemble_metrics.ensembles import average_state, make_ensemble, pure_state, unify_support
+from ensemble_metrics.ensembles import (
+    _first_invalid,
+    average_state,
+    check_density,
+    make_ensemble,
+    pure_state,
+    unify_support,
+)
 from ensemble_metrics.errors import (
     DimMismatch,
     InvalidMeasurement,
@@ -156,15 +165,16 @@ def test_apply_measurement_dim_mismatch():
         apply_measurement(_z_meas(), np.eye(3) / 3)
 
 
-def _per_kraus_outputs(m, rho):
-    """Output ensemble of ``m`` at ``rho`` one outcome and one Kraus
-    operator at a time, every post-state validated by make_ensemble: the
-    reference for the stacked kernel."""
+def _per_kraus_outputs(m, b):
+    """Output ensemble of ``m`` at ``ρ = b b†`` one outcome and one Kraus
+    operator at a time, as ``Σ (K_j b)(K_j b)†``, every post-state validated
+    by make_ensemble: the reference for the stacked kernel."""
     pairs, taken = [], []
     for i, (w, kraus) in enumerate(m.outcomes):
-        out = np.zeros_like(rho)
+        out = np.zeros((m.dim, m.dim), dtype=complex)
         for k in kraus:
-            out += k @ rho @ k.conj().T
+            y = k @ b
+            out += y @ y.conj().T
         tr = float(np.real(np.trace(out)))
         if w * tr <= 0.0:
             continue
@@ -203,7 +213,7 @@ def test_score_outputs_equal_the_per_kraus_reference():
     for m, a_dim, x in _score_cases():
         score = _InputScore(m, m, "distance", "kantorovich", None, a_dim)
         psi, (got, _) = score.outputs(x)
-        states, probs, index = _per_kraus_outputs(_lifted(m, a_dim), np.outer(psi, psi.conj()))
+        states, probs, index = _per_kraus_outputs(_lifted(m, a_dim), psi[:, None])
         assert len(got.states) == len(states)
         assert all(np.array_equal(a, b) for a, b in zip(got.states, states))
         assert np.array_equal(got.probs, probs)
@@ -219,7 +229,8 @@ def test_apply_measurement_equals_the_per_kraus_reference():
         psi = _unit(_as_complex(x))
         rho = np.outer(psi, psi.conj())
         got = apply_measurement(lifted, rho)
-        states, probs, index = _per_kraus_outputs(lifted, rho)
+        states, probs, index = _per_kraus_outputs(lifted, mat_sqrt_psd(rho))
+        assert len(got.states) == len(states)
         assert all(np.array_equal(a, b) for a, b in zip(got.states, states))
         assert np.array_equal(got.probs, probs) and np.array_equal(got.index, index)
 
@@ -240,25 +251,134 @@ def test_apply_measurement_still_rejects_invalid_inputs(rho, error):
         apply_measurement(m, rho)
     if error is InvalidState:
         with pytest.raises(InvalidState) as want:
-            _per_kraus_outputs(m, rho.astype(complex))
+            check_density(rho)
         assert str(found.value) == str(want.value)
+
+
+def test_apply_measurement_checks_the_input_trace_to_1e_10():
+    m = random_measurement(2, 2, seed=7)
+    apply_measurement(m, np.diag([0.5, 0.5 + 5e-11]))
+    with pytest.raises(InvalidState, match="trace differs from 1"):
+        apply_measurement(m, np.diag([0.5, 0.5 + 5e-9]))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 5])
 def test_score_checks_outcomes_of_roundoff_probability(seed):
     # at a basis vector of a rotated projective measurement the other
-    # outcomes keep probabilities of order 1e-17 whose post-states are
-    # rounding noise; the score refuses them as apply_measurement does
+    # outcomes keep probabilities of order 1e-32; their post-states are
+    # built as density matrices, so the score and apply_measurement return
+    # valid ensembles whose value is the one without those outcomes
     u = random_unitary(3, seed=seed)
     m = projective_measurement(u.T)
     x = _as_real(u[:, 0].astype(complex))
     score = _InputScore(m, m, "distance", "kantorovich", None, 1)
-    with pytest.raises(InvalidState) as found:
-        score.outputs(x)
+    psi, (got, _) = score.outputs(x)
+    ens = apply_measurement(m, np.outer(psi, psi.conj()))
+    for out in (got, ens):
+        assert _first_invalid(np.array(out.states)) is None
+        assert abs(out.probs.sum() - 1.0) <= 1e-12
+        assert np.sort(out.probs)[-2] <= 1e-30
+    assert score.value(x) == 0.0
+
+
+def test_outcomes_of_subnormal_trace_are_dropped():
+    # K_A √ρ has entries near 1e-160, so outcome A's post-state is subnormal
+    # and its entries are rounded to an absolute grid far coarser than its
+    # trace: it counts as probability zero
+    k_a = np.sqrt(2) * np.array([[1.0, 1e-160], [0.0, 3e-161]])
+    m = make_measurement([(0.5, [k_a]), (0.5, [np.sqrt(2) * np.diag([0.0, 1.0])])])
+    rho = np.diag([0.0, 1.0])
+    x = _as_real(np.array([0.0, 1.0], dtype=complex))
+    _, (scored, _) = _InputScore(m, m, "distance", "kantorovich", None, 1).outputs(x)
+    for ens in (apply_measurement(m, rho), scored):
+        _assert_valid(ens)
+        assert list(ens.index) == [-1, 0]
+
+
+def _kraus_formula(m, rho, faint=0.0):
+    """``(w Tr, Σ K ρ K† / Tr)`` of each outcome whose probability exceeds
+    ``faint``, by the two-sided product ``K ρ K†``."""
+    pairs = []
+    for w, kraus in m.outcomes:
+        out = sum(k @ rho @ k.conj().T for k in kraus)
+        tr = float(np.real(np.trace(out)))
+        if w * tr > faint:
+            pairs.append((w * tr, out / tr))
+    return pairs
+
+
+def _assert_valid(ens):
+    assert _first_invalid(np.array(ens.states)) is None
+    assert abs(ens.probs.sum() - 1.0) <= 1e-12
+
+
+def _assert_matches_formula(ens, pairs, faint):
+    # every outcome above ``faint`` has a state within 1e-12 of the formula's
+    for p, want in pairs:
+        if p > faint:
+            assert min(np.abs(got - want).max() for got in ens.states) <= 1e-12
+
+
+# outcomes above this probability match the K ρ K† formula to 1e-12
+_NOT_FAINT = 1e-3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.booleans(), st.integers(0, 10**6))
+def test_post_state_kernel_gives_density_matrices(d, kraus, ancilla, seed):
+    m = random_measurement(d, 3, seed=seed, kraus_per_outcome=kraus)
+    a_dim = d if ancilla else 1
+    lifted = _lifted(m, a_dim)
+    x = _random_input(a_dim * d, seed)
+    psi, (scored, _) = _InputScore(m, m, "distance", "kantorovich", None, a_dim).outputs(x)
+    pure = np.outer(psi, psi.conj())
+    mixed = random_density(d, seed=seed)
+    cases = [
+        (scored, _kraus_formula(lifted, pure)),
+        (apply_measurement(lifted, pure), _kraus_formula(lifted, pure)),
+        (apply_measurement(m, mixed), _kraus_formula(m, mixed)),
+    ]
+    # the other outcomes of a projective measurement at one of its basis
+    # vectors have probabilities of order 1e-32
+    u = random_unitary(3, seed=seed)
+    basis = projective_measurement(u.T)
+    vec = _unit(u[:, 0].astype(complex))
+    rho = np.outer(vec, vec.conj())
+    _, (at_basis, _) = _InputScore(basis, basis, "distance", "kantorovich", None, 1).outputs(
+        _as_real(vec)
+    )
+    cases += [
+        (at_basis, _kraus_formula(basis, rho)),
+        (apply_measurement(basis, rho), _kraus_formula(basis, rho)),
+    ]
+    for ens, pairs in cases:
+        _assert_valid(ens)
+        _assert_matches_formula(ens, pairs, _NOT_FAINT)
+    # the Choi states: outcome j's is Σ vec(Kᵀ) vec(Kᵀ)† / d, normalized
+    choi = jamiolkowski_ensemble(m)
+    _assert_valid(choi)
+    for w, ks in m.outcomes:
+        v = np.array([k.T.reshape(-1) for k in ks]) / np.sqrt(d)
+        want = v.T @ v.conj()
+        assert min(np.abs(s - want / np.trace(want).real).max() for s in choi.states) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["distance", "fidelity"])
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_score_at_roundoff_outcomes_matches_the_kraus_formula(seed, kind):
+    # the value with outcomes of probability ~1e-32 kept is the value of
+    # the K ρ K† ensembles without them (in that formula they are ~1e-17
+    # with states of rounding noise)
+    u = random_unitary(3, seed=seed)
+    m = projective_measurement(u.T)
+    n = random_measurement(3, 3, seed=seed, kraus_per_outcome=2)
+    x = _as_real(u[:, 0].astype(complex))
+    score = _InputScore(m, n, kind, "kantorovich", None, 1)
     psi = _unit(_as_complex(x))
-    with pytest.raises(InvalidState) as want:
-        apply_measurement(m, np.outer(psi, psi.conj()))
-    assert str(found.value) == str(want.value)
+    rho = np.outer(psi, psi.conj())
+    ea, eb = (make_ensemble(_kraus_formula(k, rho, faint=1e-12)) for k in (m, n))
+    measure = kantorovich_distance if kind == "distance" else kantorovich_fidelity
+    assert abs(score.sign * score.value(x) - measure(ea, eb)[0]) <= 1e-12
 
 
 def test_is_unital():
@@ -614,6 +734,27 @@ def test_make_povm_validation():
         make_povm([np.eye(2) * 0.4, np.eye(2) * 0.4])  # sums to 0.8 I
     with pytest.raises(DimMismatch):
         make_povm([np.eye(2) * 0.5, np.eye(3) * 0.5])
+
+
+# POVMs within make_povm's 1e-8 whose elements, divided by their traces, are
+# no density matrices to 1e-10, or whose element traces do not sum to d
+# within 1e-8 · d
+NO_ENSEMBLE_POVMS = {
+    "negative eigenvalue": [np.diag([1.0, -5e-9]), np.diag([0.0, 1.0 + 5e-9])],
+    "not Hermitian": [np.array([[0.5, 5e-9], [0.0, 0.5]]), np.array([[0.5, -5e-9], [0.0, 0.5]])],
+    "probabilities sum": [np.diag(e) * (1.0 + 1.9e-8) for e in np.eye(4)],
+}
+
+
+@pytest.mark.parametrize("message", sorted(NO_ENSEMBLE_POVMS))
+def test_make_povm_rejects_elements_with_no_ensemble(message):
+    with pytest.raises(InvalidPovm, match=f"elements give no ensemble: {message}"):
+        make_povm(NO_ENSEMBLE_POVMS[message])
+
+
+def test_make_povm_keeps_elements_inside_the_state_tolerance():
+    p = make_povm([np.diag([1.0, -5e-11]), np.diag([0.0, 1.0 + 5e-11])])
+    assert povm_to_ensemble(p).size == 2
 
 
 def test_povm_to_ensemble_average():

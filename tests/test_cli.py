@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ensemble_metrics.channels import Povm
 from ensemble_metrics.cli import (
     SEED_ENV,
     _parse_matrix,
@@ -209,6 +210,24 @@ def test_invalid_povm_exits_5(capsys, monkeypatch):
     code = main(_expand(["povm", "povmbad.json", "povmz.json"]))
     assert code == 5
     assert capsys.readouterr().err.startswith("invalid device:")
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [
+        [np.diag([1.0, -5e-9]), np.diag([0.0, 1.0 + 5e-9])],  # eigenvalue -5e-9 over the trace
+        [np.array([[0.5, 5e-9], [0.0, 0.5]]), np.array([[0.5, -5e-9], [0.0, 0.5]])],  # not Hermitian
+    ],
+)
+def test_povm_with_no_ensemble_exits_5(elements, tmp_path, capsys, monkeypatch):
+    # within the 1e-8 of the POVM checks, but an element over its trace is
+    # no density matrix to 1e-10
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    bad = tmp_path / "povm.json"
+    bad.write_text(json.dumps(povm_to_json(Povm(tuple(elements), 2))))
+    code = main(["povm", str(bad), str(DATA / "povmz.json")])
+    assert code == 5
+    assert capsys.readouterr().err.startswith("invalid device: elements give no ensemble:")
 
 
 def test_seed_env_feeds_default(capsys, monkeypatch):
