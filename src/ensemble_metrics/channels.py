@@ -129,7 +129,7 @@ def make_measurement(outcomes) -> GeneralizedMeasurement:
         )
 
     stack = _kraus_stack(GeneralizedMeasurement(tuple(cleaned), dim))
-    comp = sum(w * gram for w, gram in zip(stack.weights, stack.grams))
+    comp = np.einsum("r,rij->ij", stack.weights[stack.owner], stack.adjoints @ stack.kraus)
     residual = float(np.linalg.norm(comp - np.eye(dim)))
     if residual > MEAS_TOL * dim:
         raise InvalidMeasurement(f"completeness residual norm {residual:.3e}")
@@ -154,10 +154,8 @@ def projective_measurement(vectors) -> GeneralizedMeasurement:
 
 def is_unital(m: GeneralizedMeasurement, tol: float = MEAS_TOL) -> bool:
     """True when the weighted union maps the identity to itself."""
-    acc = np.zeros((m.dim, m.dim), dtype=complex)
-    for w, kraus in m.outcomes:
-        for k in kraus:
-            acc += w * (k @ k.conj().T)
+    stack = _kraus_stack(m)
+    acc = np.einsum("r,rij->ij", stack.weights[stack.owner], stack.kraus @ stack.adjoints)
     return float(np.linalg.norm(acc - np.eye(m.dim))) <= tol * m.dim
 
 
@@ -216,40 +214,28 @@ def make_povm(elements) -> Povm:
 @dataclass(frozen=True, eq=False)
 class _KrausStack:
     """A measurement's Kraus operators in one stack, outcome after outcome:
-    outcome ``i``, of weight ``weights[i]``, owns the rows
-    ``first[i]:first[i + 1]`` of ``kraus`` and ``adjoints``.  ``slots[j]``
-    holds the outcomes that have a ``j``-th operator and its rows, so that
-    sums over an outcome's operators run in list order."""
+    row ``r`` of ``kraus`` and ``adjoints`` belongs to outcome ``owner[r]``,
+    of weight ``weights[owner[r]]``.  Every sum over an outcome's operators
+    is one stacked sum over ``owner``."""
 
     weights: np.ndarray
     kraus: np.ndarray
     adjoints: np.ndarray
-    first: np.ndarray
-    slots: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    @cached_property
-    def grams(self) -> list[np.ndarray]:
-        """``Σ K†K`` of each outcome."""
-        return [
-            sum(self.adjoints[a:b] @ self.kraus[a:b]) for a, b in zip(self.first, self.first[1:])
-        ]
+    owner: np.ndarray
 
 
 def _kraus_stack(m: GeneralizedMeasurement) -> _KrausStack:
     """``m``'s Kraus operators stacked once, for every post-state to come."""
-    counts = np.array([len(kraus) for _, kraus in m.outcomes])
-    first = np.concatenate([[0], np.cumsum(counts)])
     kraus = np.array([k for _, ks in m.outcomes for k in ks])
-    slots = tuple(
-        (np.flatnonzero(counts > j), first[:-1][counts > j] + j) for j in range(counts.max())
-    )
-    return _KrausStack(m.weights, kraus, kraus.conj().swapaxes(1, 2), first, slots)
+    owner = np.repeat(np.arange(len(m)), [len(ks) for _, ks in m.outcomes])
+    return _KrausStack(m.weights, kraus, kraus.conj().swapaxes(1, 2), owner)
 
 
 def _post_states(stack: _KrausStack, factors: np.ndarray) -> np.ndarray:
     """Each outcome's unnormalized post-state ``Σ_j Y_j Y_j†``, given one
-    factor ``Y_j`` per Kraus operator, stacked as ``stack.kraus`` is; each
-    sum runs in Kraus-list order.
+    factor ``Y_j`` per Kraus operator, stacked as ``stack.kraus`` is.
+    ``np.add.at`` adds the rows in stack order, so each outcome's sum runs
+    in Kraus-list order.
 
     ``K_j B`` with ``B B† = ρ`` gives ``Σ_j K_j ρ K_j†``.  A sum of ``Y Y†``
     products is Hermitian and positive semidefinite up to rounding relative
@@ -259,8 +245,7 @@ def _post_states(stack: _KrausStack, factors: np.ndarray) -> np.ndarray:
     """
     terms = factors @ factors.conj().swapaxes(1, 2)
     post = np.zeros((len(stack.weights),) + terms.shape[1:], dtype=complex)
-    for outcomes, rows in stack.slots:
-        post[outcomes] += terms[rows]
+    np.add.at(post, stack.owner, terms)
     return post
 
 
@@ -498,72 +483,75 @@ def _difference_gradient(score):
     return evaluate
 
 
-def _cost_gradients(kind: str, omega, cells) -> list:
-    """For each support cell ``(u, v)``, the gradients of its ground cost
-    with respect to ``omega[u]`` and ``omega[v]``.
+def _cost_gradients(kind: str, omega, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """The gradients of the ground costs of the support cells
+    ``(u[k], v[k])`` with respect to ``omega[u[k]]`` and ``omega[v[k]]``,
+    as two stacks.
 
     Distance ``½‖ω_u − ω_v‖₁``: ``±½ S`` with ``S`` the sign matrix of
     ``ω_u − ω_v``.  Fidelity: ``∂F/∂ρ = ½ √σ (√σ ρ √σ)^{+½} √σ``, and
     symmetrically for ``σ``.
     """
-    if not cells:
-        return []
     omega = np.asarray(omega)
-    u, v = np.transpose(cells)
     if kind == "distance":
         signs = 0.5 * spectral_map(omega[u] - omega[v], np.sign)[1]
-        return list(zip(signs, -signs))
-    # one root per state with flow; row k < len(cells) is the gradient for omega[u[k]]
+        return signs, -signs
+    # one root per state with flow; row k < len(u) is the gradient for omega[u[k]]
     used, at = np.unique(np.concatenate([v, u]), return_inverse=True)
     r = mat_sqrt_psd(omega[used])[at]
     grads = 0.5 * r @ mat_pinv_sqrt_psd(r @ np.concatenate([omega[u], omega[v]]) @ r) @ r
-    return list(zip(grads[: len(cells)], grads[len(cells) :]))
+    return grads[: len(u)], grads[len(u) :]
 
 
 def _coupling_gradient(kind: str, psi, outputs, coupling, stacks) -> np.ndarray:
-    """Gradient ``2 G psi`` of a coupling value at the pure input ``psi``.
+    """Gradient ``2 G ψ`` of a coupling value at the pure input ``ψ``.
 
     By the envelope theorem ``dV = Σ π_uv dC_uv + Σ U_u dp_u + Σ W_v dq_v``
     at the optimal flow ``π`` and potentials ``U``, ``W`` that the solve
-    left on ``coupling``.  An outcome of weight ``w`` with Kraus list
-    ``K_j`` has ``p = w ψ†(Σ K_j†K_j)ψ`` and post-state ``ω = Ã / t``,
-    ``Ã = Σ K_j ψψ† K_j†``; a cost gradient ``A`` on ``ω`` pulls back to
-    ``H = (A − Tr(Aω) I) / t`` on ``Ã``, and ``G`` collects ``U w Σ K†K``
-    and ``Σ K† H K`` over the outcomes.  ``outputs`` are the two output
-    ensembles, ``stacks`` the two measurements' :class:`_KrausStack`.  Each
-    outcome is taken to the support state it merged into;
-    a support state moves with the outcome it was kept from, the first one
-    on the first side that has it.
+    left on ``coupling``.  An outcome ``i`` of weight ``w_i`` has
+    ``p_i = w_i t_i``, ``t_i = Σ_{r∈i} ‖K_r ψ‖²``, and post-state
+    ``ω = Ã / t_i``, ``Ã = Σ_{r∈i} K_r ψψ† K_r†``; the flow-weighted cost
+    gradient ``A_s`` on a support state ``ω_s`` pulls back to
+    ``H_s = (A_s − Tr(A_s ω_s) I) / t_i`` on ``Ã``.  So, over the rows of
+    both stacks, ``G ψ = Σ_r K_r† M_{owner(r)} K_r ψ`` with
+    ``M_i = U_{s(i)} w_i I`` for each kept outcome ``i`` of support state
+    ``s(i)`` (``W`` on the second side), plus ``H_s`` on the outcome that
+    ``s`` moves with: the first kept one, on the first side first, that
+    went into it.  ``outputs`` are the two output ensembles, ``stacks`` the
+    two measurements' :class:`_KrausStack`.
     """
-    support = coupling.support
-    omega, flow = support.omega, coupling.table
-    cells = [(u, v) for u, v in zip(*np.nonzero(flow > 0.0)) if u != v]
-    cost_grad: dict = {}
-    for (u, v), (gu, gv) in zip(cells, _cost_gradients(kind, omega, cells)):
-        cost_grad[u] = cost_grad.get(u, 0.0) + flow[u, v] * gu
-        cost_grad[v] = cost_grad.get(v, 0.0) + flow[u, v] * gv
+    support, table = coupling.support, coupling.table
+    omega = np.asarray(support.omega)
+    u, v = np.nonzero(table > 0.0)
+    off = u != v
+    u, v = u[off], v[off]
+    gu, gv = _cost_gradients(kind, omega, u, v)
+    a = np.zeros(omega.shape, dtype=complex)
+    np.add.at(a, u, table[u, v, None, None] * gu)
+    np.add.at(a, v, table[u, v, None, None] * gv)
+
+    # the outcomes of both measurements, then their Kraus rows
+    first, second = outputs
+    index = np.concatenate([first.index, second.index])
+    kept = np.flatnonzero(index >= 0)
+    side = (kept >= len(first.index)).astype(int)
+    s = support.index[index[kept] + side * first.size]
+    weights = np.concatenate([st.weights for st in stacks])
+    kraus = np.concatenate([st.kraus for st in stacks])
+    adjoints = np.concatenate([st.adjoints for st in stacks])
+    owner = np.concatenate([stacks[0].owner, stacks[1].owner + len(stacks[0].weights)])
+    y = kraus @ psi
+    t = np.bincount(owner, np.sum(np.abs(y) ** 2, axis=1), len(weights))
 
     eye = np.eye(len(psi))
-    g = np.zeros((len(psi), len(psi)), dtype=complex)
-    offset, seen = 0, set()
-    for ens, stack, duals in zip(outputs, stacks, (coupling.row_duals, coupling.col_duals)):
-        for i, k in enumerate(ens.index):
-            if k < 0:
-                continue  # zero probability here, and to first order
-            s = int(support.index[offset + k])
-            gram = stack.grams[i]
-            g += (duals[s] * stack.weights[i]) * gram
-            if s in seen:
-                continue
-            seen.add(s)
-            if s in cost_grad:
-                a = cost_grad[s]
-                t = float(np.real(np.vdot(psi, gram @ psi)))
-                h = (a - np.real(np.trace(a @ omega[s])) * eye) / t
-                rows = slice(stack.first[i], stack.first[i + 1])
-                g += sum(stack.adjoints[rows] @ h @ stack.kraus[rows])
-        offset += ens.size
-    return 2.0 * (g @ psi)
+    m = np.zeros((len(weights), len(psi), len(psi)), dtype=complex)
+    duals = np.stack([coupling.row_duals, coupling.col_duals])[side, s]
+    m[kept] = (duals * weights[kept])[:, None, None] * eye
+    states, at = np.unique(s, return_index=True)
+    moved = kept[at]
+    trace = np.einsum("kij,kji->k", a[states], omega[states]).real
+    m[moved] += (a[states] - trace[:, None, None] * eye) / t[moved, None, None]
+    return 2.0 * np.einsum("rij,rj->i", adjoints, np.einsum("rij,rj->ri", m[owner], y))
 
 
 class _InputScore:

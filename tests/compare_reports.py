@@ -12,14 +12,18 @@ and 2 in a temporary directory; each tree then runs
 ``perfbench/run.py``'s ``call``, with the BLAS thread count and seed
 environment that importing ``run`` sets.  The script prints
 each request whose exit code or stdout differs, with the report fields that
-changed, then a count per workload; it exits 1 when any request differs.
-Nothing under ``perfbench/`` is written.
+changed, then per workload the count of differing reports, the largest
+absolute change of a numeric field among them (``inf`` when an exit code or
+a report's shape changed) and whether any ``evaluations`` or ``iterations``
+field changed; it exits 1 when any request differs.  Nothing under
+``perfbench/`` is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -67,16 +71,28 @@ def _leaves(doc, path: str = ""):
         yield path, doc
 
 
-def _changes(old: str, new: str) -> list[str]:
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _changes(old: str, new: str) -> tuple[list[str], float, bool]:
     """The fields that differ between two reports, or a note when either is
-    not JSON or their shapes differ."""
+    not JSON or their shapes differ; the largest absolute change of a
+    numeric field (``inf`` for a note or a changed non-numeric field); and
+    whether an ``evaluations`` or ``iterations`` field changed."""
     try:
         a, b = dict(_leaves(json.loads(old))), dict(_leaves(json.loads(new)))
     except ValueError:
-        return ["stdout is not JSON on one side"]
+        return ["stdout is not JSON on one side"], math.inf, False
     if a.keys() != b.keys():
-        return [f"fields differ: {sorted(a.keys() ^ b.keys())}"]
-    return [f"{p}: {a[p]!r} -> {b[p]!r}" for p in a if a[p] != b[p]]
+        return [f"fields differ: {sorted(a.keys() ^ b.keys())}"], math.inf, False
+    changed = [p for p in a if a[p] != b[p]]
+    largest = max(
+        (abs(b[p] - a[p]) if _is_number(a[p]) and _is_number(b[p]) else math.inf for p in changed),
+        default=0.0,
+    )
+    effort = any(p.endswith((".evaluations", ".iterations")) for p in changed)
+    return [f"{p}: {a[p]!r} -> {b[p]!r}" for p in changed], largest, effort
 
 
 def main(argv=None) -> int:
@@ -98,6 +114,8 @@ def main(argv=None) -> int:
         argvs = [argv for _, _, argv in cases]
         old, new = _run(args.old_src.resolve(), argvs), _run(args.new_src.resolve(), argvs)
         counts = {name: [0, 0] for name in names}
+        largest = dict.fromkeys(names, 0.0)
+        effort = dict.fromkeys(names, False)
         for (name, seed, argv), (old_code, old_out), (new_code, new_out) in zip(cases, old, new):
             counts[name][1] += 1
             if (old_code, old_out) == (new_code, new_out):
@@ -108,13 +126,22 @@ def main(argv=None) -> int:
             print(f"{name} seed {seed}: {shown}")
             if old_code != new_code:
                 print(f"    exit code {old_code} -> {new_code}")
-            lines = _changes(old_out, new_out) if old_out != new_out else []
+                largest[name] = math.inf
+            lines = []
+            if old_out != new_out:
+                lines, change, moved = _changes(old_out, new_out)
+                largest[name] = max(largest[name], change)
+                effort[name] = effort[name] or moved
             for line in lines[:SHOWN_FIELDS]:
                 print(f"    {line}")
             if len(lines) > SHOWN_FIELDS:
                 print(f"    ... {len(lines) - SHOWN_FIELDS} more fields")
     for name, (changed, total) in counts.items():
-        print(f"{name}: {changed} of {total} reports differ")
+        print(
+            f"{name}: {changed} of {total} reports differ, largest numeric change "
+            f"{largest[name]:.3g}, evaluations or iterations "
+            f"{'differ' if effort[name] else 'unchanged'}"
+        )
     return 1 if differ else 0
 
 

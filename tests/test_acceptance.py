@@ -191,6 +191,35 @@ def test_criterion_05_monotonicity_under_measurements_and_channels():
         assert kantorovich_fidelity(a2, b2)[0] >= kantorovich_fidelity(a, b)[0] - 1e-8
 
 
+def _measured_pair(seed, rank):
+    """One qubit state a side, before and after a random two-outcome
+    measurement."""
+    a = random_ensemble(2, 1, seed=seed, rank=rank)
+    b = random_ensemble(2, 1, seed=100000 + seed, rank=rank)
+    m = random_measurement(2, 2, seed=200000 + seed)
+    return (a, b), (_push_measurement(m, a), _push_measurement(m, b))
+
+
+def test_criterion_05_kantorovich_measures_are_not_monotone_under_measurements():
+    # the paper's contrast: on these witnesses the measurement raises D_K
+    # and lowers F_K, while the EHS distance falls and the EHS fidelity rises
+    before, after = _measured_pair(2601, rank=1)
+    assert abs(kantorovich_distance(*before)[0] - 0.29623) <= 1e-5
+    assert abs(kantorovich_distance(*after)[0] - 0.34198) <= 1e-5
+    ehs_before, ehs_after = ehs_distance(*before), ehs_distance(*after)
+    assert ehs_before.converged and ehs_after.converged
+    assert abs(ehs_after.value - 0.29519) <= 1e-4
+    assert ehs_after.value < ehs_before.value - 5e-4
+
+    before, after = _measured_pair(936, rank=None)
+    assert abs(kantorovich_fidelity(*before)[0] - 0.83223) <= 1e-5
+    assert abs(kantorovich_fidelity(*after)[0] - 0.65903) <= 1e-5
+    ehs_before, ehs_after = ehs_fidelity(*before), ehs_fidelity(*after)
+    assert ehs_before.converged and ehs_after.converged
+    assert abs(ehs_after.value - 0.87956) <= 1e-4
+    assert ehs_after.value > ehs_before.value + 5e-4
+
+
 def test_criterion_06_pure_decompositions_recover_uhlmann_fidelity():
     for k in range(50):
         d = 2 + k % 2

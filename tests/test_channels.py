@@ -582,6 +582,69 @@ def test_coupling_gradient_at_the_system_only_start(kind):
     assert gap <= 1e-6
 
 
+def _per_outcome_gradient(kind, psi, outputs, coupling, measurements):
+    """The pull-back of the coupling gradient one cell and one outcome at a
+    time, each outcome's ``Σ K†K`` summed from its Kraus list, in a matrix
+    ``G`` applied to ``ψ`` at the end: the reference for the stacked sums
+    over the rows of both Kraus stacks."""
+    support = coupling.support
+    omega, flow = support.omega, coupling.table
+    cells = [(u, v) for u, v in zip(*np.nonzero(flow > 0.0)) if u != v]
+    cost_grad = {}
+    u, v = np.array(cells, dtype=int).reshape(-1, 2).T
+    for (a, b), gu, gv in zip(cells, *_cost_gradients(kind, omega, u, v)):
+        cost_grad[a] = cost_grad.get(a, 0.0) + flow[a, b] * gu
+        cost_grad[b] = cost_grad.get(b, 0.0) + flow[a, b] * gv
+
+    eye = np.eye(len(psi))
+    g = np.zeros((len(psi), len(psi)), dtype=complex)
+    offset, seen = 0, set()
+    for ens, m, duals in zip(outputs, measurements, (coupling.row_duals, coupling.col_duals)):
+        for (w, kraus), k in zip(m.outcomes, ens.index):
+            if k < 0:
+                continue
+            s = int(support.index[offset + k])
+            gram = sum(op.conj().T @ op for op in kraus)
+            g += (duals[s] * w) * gram
+            if s in seen:
+                continue
+            seen.add(s)
+            if s in cost_grad:
+                a = cost_grad[s]
+                t = float(np.real(np.vdot(psi, gram @ psi)))
+                h = (a - np.real(np.trace(a @ omega[s])) * eye) / t
+                g += sum(op.conj().T @ h @ op for op in kraus)
+        offset += ens.size
+    return 2.0 * (g @ psi)
+
+
+def _gradient_cases():
+    """``(m, n, a_dim, x)``: each of :func:`_score_cases` against a fixed
+    partner, on either side, and the shared-outcome pair."""
+    cases = []
+    for m, a_dim, x in _score_cases():
+        partner = random_measurement(m.dim, 2, seed=95 + m.dim, kraus_per_outcome=2)
+        cases += [(m, partner, a_dim, x), (partner, m, a_dim, x)]
+    m = random_measurement(2, 2, seed=91)
+    (w0, k0), (w1, k1) = m.outcomes
+    u = random_unitary(2, seed=92)
+    n = make_measurement([(w1, [u @ k for k in k1]), (w0, k0)])
+    return cases + [(m, n, 2, _random_input(4, 93))]
+
+
+@pytest.mark.parametrize("kind", ["distance", "fidelity"])
+def test_coupling_gradient_equals_the_per_outcome_reference(kind):
+    measure = kantorovich_distance if kind == "distance" else kantorovich_fidelity
+    for m, n, a_dim, x in _gradient_cases():
+        score = _InputScore(m, n, kind, "kantorovich", None, a_dim)
+        psi, outputs = score.outputs(x)
+        coupling = measure(*outputs)[1]
+        got = channels._coupling_gradient(kind, psi, outputs, coupling, score.stacks)
+        lifted = (_lifted(m, a_dim), _lifted(n, a_dim))
+        want = _per_outcome_gradient(kind, psi, outputs, coupling, lifted)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def _per_cell_fidelity_gradients(omega, cells):
     """``∂F/∂ρ = ½ √σ (√σ ρ √σ)^{+½} √σ`` and its mirror, one cell and one
     root at a time."""
@@ -602,10 +665,10 @@ def test_stacked_fidelity_cost_gradients_equal_the_per_cell_formula(d):
         omega = [random_density(d, int(r), seed=int(rng.integers(2**31))) for r in ranks]
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
         cells = [pairs[k] for k in rng.permutation(len(pairs))[: int(rng.integers(1, len(pairs)))]]
-        got = _cost_gradients("fidelity", omega, cells)
+        got_u, got_v = _cost_gradients("fidelity", omega, *np.transpose(cells))
         want = _per_cell_fidelity_gradients(omega, cells)
-        assert len(got) == len(want)
-        for (gu, gv), (wu, wv) in zip(got, want):
+        assert len(got_u) == len(got_v) == len(want)
+        for gu, gv, (wu, wv) in zip(got_u, got_v, want):
             assert np.array_equal(gu, wu) and np.array_equal(gv, wv)
 
 
