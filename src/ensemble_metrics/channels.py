@@ -213,10 +213,10 @@ def make_povm(elements) -> Povm:
 
 @dataclass(frozen=True, eq=False)
 class _KrausStack:
-    """A measurement's Kraus operators in one stack, outcome after outcome:
-    row ``r`` of ``kraus`` and ``adjoints`` belongs to outcome ``owner[r]``,
-    of weight ``weights[owner[r]]``.  Every sum over an outcome's operators
-    is one stacked sum over ``owner``."""
+    """The Kraus operators of one or more measurements in one stack, outcome
+    after outcome: row ``r`` of ``kraus`` and ``adjoints`` belongs to outcome
+    ``owner[r]``, of weight ``weights[owner[r]]``.  Every sum over an
+    outcome's operators is one stacked sum over ``owner``."""
 
     weights: np.ndarray
     kraus: np.ndarray
@@ -224,11 +224,14 @@ class _KrausStack:
     owner: np.ndarray
 
 
-def _kraus_stack(m: GeneralizedMeasurement) -> _KrausStack:
-    """``m``'s Kraus operators stacked once, for every post-state to come."""
-    kraus = np.array([k for _, ks in m.outcomes for k in ks])
-    owner = np.repeat(np.arange(len(m)), [len(ks) for _, ks in m.outcomes])
-    return _KrausStack(m.weights, kraus, kraus.conj().swapaxes(1, 2), owner)
+def _kraus_stack(*ms: GeneralizedMeasurement) -> _KrausStack:
+    """The Kraus operators of ``ms`` stacked once, for every post-state to
+    come; the outcomes of ``ms[0]`` come first, then those of ``ms[1]``."""
+    outcomes = [o for m in ms for o in m.outcomes]
+    kraus = np.array([k for _, ks in outcomes for k in ks])
+    owner = np.repeat(np.arange(len(outcomes)), [len(ks) for _, ks in outcomes])
+    weights = np.concatenate([m.weights for m in ms])
+    return _KrausStack(weights, kraus, kraus.conj().swapaxes(1, 2), owner)
 
 
 def _post_states(stack: _KrausStack, factors: np.ndarray) -> np.ndarray:
@@ -503,7 +506,7 @@ def _cost_gradients(kind: str, omega, u, v) -> tuple[np.ndarray, np.ndarray]:
     return grads[: len(u)], grads[len(u) :]
 
 
-def _coupling_gradient(kind: str, psi, outputs, coupling, stacks) -> np.ndarray:
+def _coupling_gradient(kind: str, factors, outputs, coupling, stack) -> np.ndarray:
     """Gradient ``2 G ψ`` of a coupling value at the pure input ``ψ``.
 
     By the envelope theorem ``dV = Σ π_uv dC_uv + Σ U_u dp_u + Σ W_v dq_v``
@@ -517,8 +520,9 @@ def _coupling_gradient(kind: str, psi, outputs, coupling, stacks) -> np.ndarray:
     ``M_i = U_{s(i)} w_i I`` for each kept outcome ``i`` of support state
     ``s(i)`` (``W`` on the second side), plus ``H_s`` on the outcome that
     ``s`` moves with: the first kept one, on the first side first, that
-    went into it.  ``outputs`` are the two output ensembles, ``stacks`` the
-    two measurements' :class:`_KrausStack`.
+    went into it.  ``stack`` is the :class:`_KrausStack` of both
+    measurements, ``factors`` its rows ``K_r ψ`` and ``outputs`` the two
+    output ensembles.
     """
     support, table = coupling.support, coupling.table
     omega = np.asarray(support.omega)
@@ -536,22 +540,19 @@ def _coupling_gradient(kind: str, psi, outputs, coupling, stacks) -> np.ndarray:
     kept = np.flatnonzero(index >= 0)
     side = (kept >= len(first.index)).astype(int)
     s = support.index[index[kept] + side * first.size]
-    weights = np.concatenate([st.weights for st in stacks])
-    kraus = np.concatenate([st.kraus for st in stacks])
-    adjoints = np.concatenate([st.adjoints for st in stacks])
-    owner = np.concatenate([stacks[0].owner, stacks[1].owner + len(stacks[0].weights)])
-    y = kraus @ psi
-    t = np.bincount(owner, np.sum(np.abs(y) ** 2, axis=1), len(weights))
+    weights, owner = stack.weights, stack.owner
+    t = np.bincount(owner, np.sum(np.abs(factors) ** 2, axis=1), len(weights))
 
-    eye = np.eye(len(psi))
-    m = np.zeros((len(weights), len(psi), len(psi)), dtype=complex)
+    dim = factors.shape[1]
+    eye = np.eye(dim)
+    m = np.zeros((len(weights), dim, dim), dtype=complex)
     duals = np.stack([coupling.row_duals, coupling.col_duals])[side, s]
     m[kept] = (duals * weights[kept])[:, None, None] * eye
     states, at = np.unique(s, return_index=True)
     moved = kept[at]
     trace = np.einsum("kij,kji->k", a[states], omega[states]).real
     m[moved] += (a[states] - trace[:, None, None] * eye) / t[moved, None, None]
-    return 2.0 * np.einsum("rij,rj->i", adjoints, np.einsum("rij,rj->ri", m[owner], y))
+    return 2.0 * np.einsum("rij,rj->i", stack.adjoints, np.einsum("rij,rj->ri", m[owner], factors))
 
 
 class _InputScore:
@@ -568,7 +569,8 @@ class _InputScore:
     """
 
     def __init__(self, m, n, kind: str, method: str, opts, a_dim: int):
-        self.stacks = (_kraus_stack(_lifted(m, a_dim)), _kraus_stack(_lifted(n, a_dim)))
+        self.stack = _kraus_stack(_lifted(m, a_dim), _lifted(n, a_dim))
+        self.split = len(m)  # the first measurement's outcomes in the stack
         self.kind, self.method, self.opts = kind, method, opts
         self.sign = 1.0 if kind == "distance" else -1.0
         self.evaluations = 0
@@ -581,26 +583,27 @@ class _InputScore:
         return self._evaluate(x)
 
     def outputs(self, x):
-        """The unit input at ``x`` and both output ensembles there, as
-        :func:`apply_measurement` gives them, from the factors ``K ψ``."""
+        """The unit input ``ψ`` at ``x``, the factors ``K_r ψ`` of the stack's
+        rows and both output ensembles there, as :func:`apply_measurement`
+        gives them."""
         self.evaluations += 1
         psi = _unit(_as_complex(x))
-        ens = tuple(
-            _outcome_ensemble(s.weights, _post_states(s, s.kraus @ psi[:, None]))
-            for s in self.stacks
-        )
-        return psi, ens
+        factors = self.stack.kraus @ psi
+        post = _post_states(self.stack, factors[:, :, None])
+        w, k = self.stack.weights, self.split
+        ens = (_outcome_ensemble(w[:k], post[:k]), _outcome_ensemble(w[k:], post[k:]))
+        return psi, factors, ens
 
     def value(self, x) -> float:
-        _, ens = self.outputs(x)
+        _, _, ens = self.outputs(x)
         return self.sign * _ensemble_measure(*ens, self.kind, self.method, self.opts)
 
     def _with_duals(self, x):
-        psi, ens = self.outputs(x)
+        _, factors, ens = self.outputs(x)
         measure = kantorovich_distance if self.kind == "distance" else kantorovich_fidelity
         value, coupling = measure(*ens)
         return self.sign * value, lambda: self.sign * _as_real(
-            _coupling_gradient(self.kind, psi, ens, coupling, self.stacks)
+            _coupling_gradient(self.kind, factors, ens, coupling, self.stack)
         )
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import subprocess
 import sys
@@ -83,12 +82,15 @@ def _changes(old: str, new: str) -> tuple[list[str], float, bool]:
     try:
         a, b = dict(_leaves(json.loads(old))), dict(_leaves(json.loads(new)))
     except ValueError:
-        return ["stdout is not JSON on one side"], math.inf, False
+        return ["stdout is not JSON on one side"], float("inf"), False
     if a.keys() != b.keys():
-        return [f"fields differ: {sorted(a.keys() ^ b.keys())}"], math.inf, False
+        return [f"fields differ: {sorted(a.keys() ^ b.keys())}"], float("inf"), False
     changed = [p for p in a if a[p] != b[p]]
     largest = max(
-        (abs(b[p] - a[p]) if _is_number(a[p]) and _is_number(b[p]) else math.inf for p in changed),
+        (
+            abs(b[p] - a[p]) if _is_number(a[p]) and _is_number(b[p]) else float("inf")
+            for p in changed
+        ),
         default=0.0,
     )
     effort = any(p.endswith((".evaluations", ".iterations")) for p in changed)
@@ -126,7 +128,7 @@ def main(argv=None) -> int:
             print(f"{name} seed {seed}: {shown}")
             if old_code != new_code:
                 print(f"    exit code {old_code} -> {new_code}")
-                largest[name] = math.inf
+                largest[name] = float("inf")
             lines = []
             if old_out != new_out:
                 lines, change, moved = _changes(old_out, new_out)

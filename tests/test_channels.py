@@ -212,7 +212,7 @@ def test_score_outputs_equal_the_per_kraus_reference():
     zero = merged = 0
     for m, a_dim, x in _score_cases():
         score = _InputScore(m, m, "distance", "kantorovich", None, a_dim)
-        psi, (got, _) = score.outputs(x)
+        psi, _, (got, _) = score.outputs(x)
         states, probs, index = _per_kraus_outputs(_lifted(m, a_dim), psi[:, None])
         assert len(got.states) == len(states)
         assert all(np.array_equal(a, b) for a, b in zip(got.states, states))
@@ -272,7 +272,7 @@ def test_score_checks_outcomes_of_roundoff_probability(seed):
     m = projective_measurement(u.T)
     x = _as_real(u[:, 0].astype(complex))
     score = _InputScore(m, m, "distance", "kantorovich", None, 1)
-    psi, (got, _) = score.outputs(x)
+    psi, _, (got, _) = score.outputs(x)
     ens = apply_measurement(m, np.outer(psi, psi.conj()))
     for out in (got, ens):
         assert _first_invalid(np.array(out.states)) is None
@@ -289,7 +289,7 @@ def test_outcomes_of_subnormal_trace_are_dropped():
     m = make_measurement([(0.5, [k_a]), (0.5, [np.sqrt(2) * np.diag([0.0, 1.0])])])
     rho = np.diag([0.0, 1.0])
     x = _as_real(np.array([0.0, 1.0], dtype=complex))
-    _, (scored, _) = _InputScore(m, m, "distance", "kantorovich", None, 1).outputs(x)
+    _, _, (scored, _) = _InputScore(m, m, "distance", "kantorovich", None, 1).outputs(x)
     for ens in (apply_measurement(m, rho), scored):
         _assert_valid(ens)
         assert list(ens.index) == [-1, 0]
@@ -330,7 +330,7 @@ def test_post_state_kernel_gives_density_matrices(d, kraus, ancilla, seed):
     a_dim = d if ancilla else 1
     lifted = _lifted(m, a_dim)
     x = _random_input(a_dim * d, seed)
-    psi, (scored, _) = _InputScore(m, m, "distance", "kantorovich", None, a_dim).outputs(x)
+    psi, _, (scored, _) = _InputScore(m, m, "distance", "kantorovich", None, a_dim).outputs(x)
     pure = np.outer(psi, psi.conj())
     mixed = random_density(d, seed=seed)
     cases = [
@@ -344,7 +344,7 @@ def test_post_state_kernel_gives_density_matrices(d, kraus, ancilla, seed):
     basis = projective_measurement(u.T)
     vec = _unit(u[:, 0].astype(complex))
     rho = np.outer(vec, vec.conj())
-    _, (at_basis, _) = _InputScore(basis, basis, "distance", "kantorovich", None, 1).outputs(
+    _, _, (at_basis, _) = _InputScore(basis, basis, "distance", "kantorovich", None, 1).outputs(
         _as_real(vec)
     )
     cases += [
@@ -560,7 +560,7 @@ def test_coupling_gradient_follows_a_shared_outcome(kind):
     n = make_measurement([(w1, [u @ k for k in k1]), (w0, k0)])
     score = _InputScore(m, n, kind, "kantorovich", None, 2)
     x = _random_input(4, 93)
-    _, outputs = score.outputs(x)
+    _, _, outputs = score.outputs(x)
     support = kantorovich_distance(*outputs)[1].support
     assert len(support.omega) == 3 and support.index[3] == support.index[0]
     gap, norm = _gradient_gap(score, x)
@@ -575,11 +575,29 @@ def test_coupling_gradient_at_the_system_only_start(kind):
     n = random_measurement(2, 2, seed=94)
     score = _InputScore(_z_meas(), n, kind, "kantorovich", None, 1)
     x = _as_real(E0.astype(complex))
-    _, outputs = score.outputs(x)
+    _, _, outputs = score.outputs(x)
     assert outputs[0].index.tolist() == [0, -1]
     gap, norm = _gradient_gap(score, x)
     assert norm > 1e-3
     assert gap <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ["distance", "fidelity"])
+def test_coupling_gradient_without_off_diagonal_flow(kind):
+    # m against itself: the two outputs share every support state, all flow
+    # is on the diagonal and no cell has a cost gradient; the value is the
+    # same at every input, so its gradient along the sphere vanishes
+    m = random_measurement(2, 3, seed=96, kraus_per_outcome=2)
+    measure = kantorovich_distance if kind == "distance" else kantorovich_fidelity
+    score = _InputScore(m, m, kind, "kantorovich", None, 2)
+    x = _random_input(4, 97)
+    _, _, outputs = score.outputs(x)
+    table = measure(*outputs)[1].table
+    assert np.array_equal(table, np.diag(np.diag(table)))
+    g = score(x)[1]()
+    assert np.linalg.norm(g - (g @ x) * x) <= 1e-12
+    search, want = (dist_max, 0.0) if kind == "distance" else (fid_min, 1.0)
+    assert abs(search(m, m, wopts=WorstCaseOptions(restarts=2, max_steps=20))[0] - want) <= 1e-12
 
 
 def _per_outcome_gradient(kind, psi, outputs, coupling, measurements):
@@ -637,9 +655,9 @@ def test_coupling_gradient_equals_the_per_outcome_reference(kind):
     measure = kantorovich_distance if kind == "distance" else kantorovich_fidelity
     for m, n, a_dim, x in _gradient_cases():
         score = _InputScore(m, n, kind, "kantorovich", None, a_dim)
-        psi, outputs = score.outputs(x)
+        psi, factors, outputs = score.outputs(x)
         coupling = measure(*outputs)[1]
-        got = channels._coupling_gradient(kind, psi, outputs, coupling, score.stacks)
+        got = channels._coupling_gradient(kind, factors, outputs, coupling, score.stack)
         lifted = (_lifted(m, a_dim), _lifted(n, a_dim))
         want = _per_outcome_gradient(kind, psi, outputs, coupling, lifted)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
