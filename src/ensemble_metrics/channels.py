@@ -1,8 +1,9 @@
 """Generalized measurements and POVMs, compared through their output ensembles.
 
-A generalized measurement is stored as outcome pairs ``(m_i, [Mbar_ij])``
-where each Kraus list is normalized to ``Tr(sum_j Mbar†_ij Mbar_ij) = d`` and
-the weights sum to one, so the weighted union is trace preserving.  Measures
+A generalized measurement has outcomes ``(m_i, [Mbar_ij])`` where each
+Kraus list is normalized to ``Tr(sum_j Mbar†_ij Mbar_ij) = d`` and the
+weights sum to one, so the weighted union is trace preserving; it is stored
+as one stack of all its Kraus operators.  Measures
 between measurements either feed a fixed entangled input through both
 (`dist_iso` / `fid_iso`) or search the input sphere for the worst case
 (`dist_max` / `fid_min`).  POVMs are compared through the ensemble of their
@@ -46,25 +47,46 @@ MARGINAL_TOL = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class GeneralizedMeasurement:
-    """Outcome list ``(weight, kraus tuple)`` acting on dimension ``dim``."""
+    """The Kraus operators of all outcomes in one ``(r, d, d)`` stack,
+    outcome after outcome: row ``r`` of ``kraus`` belongs to outcome
+    ``owner[r]``, of weight ``weights[owner[r]]``.  Every sum over an
+    outcome's operators is one stacked sum over ``owner``.
+    :func:`make_measurement` builds and validates the stack once."""
 
-    outcomes: tuple[tuple[float, tuple[np.ndarray, ...]], ...]
-    dim: int
+    weights: np.ndarray
+    kraus: np.ndarray
+    owner: np.ndarray
 
     @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for w, _ in self.outcomes])
+    def dim(self) -> int:
+        return self.kraus.shape[1]
+
+    @cached_property
+    def adjoints(self) -> np.ndarray:
+        return self.kraus.conj().swapaxes(1, 2)
+
+    @property
+    def outcomes(self) -> tuple[tuple[float, tuple[np.ndarray, ...]], ...]:
+        """The ``(weight, Kraus tuple)`` of each outcome, read from the stack."""
+        ends = np.cumsum(np.bincount(self.owner, minlength=len(self)))
+        return tuple(
+            (float(w), tuple(ks)) for w, ks in zip(self.weights, np.split(self.kraus, ends[:-1]))
+        )
 
     def __len__(self) -> int:
-        return len(self.outcomes)
+        return len(self.weights)
 
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Positive operators summing to the identity."""
+    """Positive operators summing to the identity, as one ``(n, d, d)``
+    stack."""
 
-    elements: tuple[np.ndarray, ...]
-    dim: int
+    elements: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.elements.shape[1]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -73,15 +95,11 @@ class Povm:
     def _ensemble(self) -> Ensemble:
         """:func:`povm_to_ensemble`, built once: :func:`make_povm` builds
         it to check that it exists."""
-        pairs = []
-        for e in self.elements:
-            tr = float(np.real(np.trace(e)))
-            if tr <= 0.0:
-                continue
-            pairs.append((tr / self.dim, e / tr))
-        if not pairs:
+        tr = np.trace(self.elements, axis1=1, axis2=2).real
+        kept = tr > 0.0
+        if not kept.any():
             raise InvalidPovm("no element with positive trace")
-        return make_ensemble(pairs)
+        return make_ensemble(zip(tr[kept] / self.dim, self.elements[kept] / tr[kept, None, None]))
 
 
 def make_measurement(outcomes) -> GeneralizedMeasurement:
@@ -94,7 +112,7 @@ def make_measurement(outcomes) -> GeneralizedMeasurement:
     normalization, the weight sum, or completeness is off by more than 1e-8
     (the message carries the residual norm).
     """
-    cleaned = []
+    weights, mats, counts = [], [], []
     dim = None
     for weight, kraus in outcomes:
         weight = float(weight)
@@ -104,7 +122,7 @@ def make_measurement(outcomes) -> GeneralizedMeasurement:
             raise InvalidMeasurement(f"negative outcome weight {weight}")
         if weight <= 0.0:
             continue
-        kraus = tuple(as_operator(k) for k in kraus)
+        kraus = [as_operator(k) for k in kraus]
         if not kraus:
             raise InvalidMeasurement("outcome with empty Kraus list")
         if dim is None:
@@ -118,25 +136,29 @@ def make_measurement(outcomes) -> GeneralizedMeasurement:
                 f"outcome normalization Tr sum M†M = {norm:.12g}, expected {dim} "
                 f"(residual {abs(norm - dim):.3e})"
             )
-        cleaned.append((weight, kraus))
-    if not cleaned:
+        weights.append(weight)
+        mats += kraus
+        counts.append(len(kraus))
+    if not weights:
         raise InvalidMeasurement("measurement with no positive-weight outcomes")
 
-    total = sum(w for w, _ in cleaned)
+    total = sum(weights)
     if abs(total - 1.0) > MEAS_TOL:
         raise InvalidMeasurement(
             f"outcome weights sum to {total:.12g} (residual {abs(total - 1.0):.3e})"
         )
 
-    stack = _kraus_stack(GeneralizedMeasurement(tuple(cleaned), dim))
-    comp = np.einsum("r,rij->ij", stack.weights[stack.owner], stack.adjoints @ stack.kraus)
+    m = GeneralizedMeasurement(
+        np.array(weights), np.array(mats), np.repeat(np.arange(len(weights)), counts)
+    )
+    comp = np.einsum("r,rij->ij", m.weights[m.owner], m.adjoints @ m.kraus)
     residual = float(np.linalg.norm(comp - np.eye(dim)))
     if residual > MEAS_TOL * dim:
         raise InvalidMeasurement(f"completeness residual norm {residual:.3e}")
 
-    kept, weights, _ = merge_near_equal(_choi_states(stack, dim), stack.weights)
-    merged = tuple((float(w), cleaned[i][1]) for i, w in zip(kept, weights))
-    return GeneralizedMeasurement(merged, dim)
+    kept, merged, into = merge_near_equal(_choi_states(m), m.weights)
+    rows = np.array(kept)[into[m.owner]] == m.owner  # the rows of kept outcomes
+    return GeneralizedMeasurement(merged, m.kraus[rows], into[m.owner[rows]])
 
 
 def projective_measurement(vectors) -> GeneralizedMeasurement:
@@ -154,8 +176,7 @@ def projective_measurement(vectors) -> GeneralizedMeasurement:
 
 def is_unital(m: GeneralizedMeasurement, tol: float = MEAS_TOL) -> bool:
     """True when the weighted union maps the identity to itself."""
-    stack = _kraus_stack(m)
-    acc = np.einsum("r,rij->ij", stack.weights[stack.owner], stack.kraus @ stack.adjoints)
+    acc = np.einsum("r,rij->ij", m.weights[m.owner], m.kraus @ m.adjoints)
     return float(np.linalg.norm(acc - np.eye(m.dim))) <= tol * m.dim
 
 
@@ -203,7 +224,7 @@ def make_povm(elements) -> Povm:
     residual = float(np.linalg.norm(acc - np.eye(d)))
     if residual > MEAS_TOL * d:
         raise InvalidPovm(f"elements sum residual norm {residual:.3e}")
-    povm = Povm(tuple(mats), d)
+    povm = Povm(np.array(mats))
     try:
         povm_to_ensemble(povm)
     except InvalidState as exc:
@@ -211,32 +232,9 @@ def make_povm(elements) -> Povm:
     return povm
 
 
-@dataclass(frozen=True, eq=False)
-class _KrausStack:
-    """The Kraus operators of one or more measurements in one stack, outcome
-    after outcome: row ``r`` of ``kraus`` and ``adjoints`` belongs to outcome
-    ``owner[r]``, of weight ``weights[owner[r]]``.  Every sum over an
-    outcome's operators is one stacked sum over ``owner``."""
-
-    weights: np.ndarray
-    kraus: np.ndarray
-    adjoints: np.ndarray
-    owner: np.ndarray
-
-
-def _kraus_stack(*ms: GeneralizedMeasurement) -> _KrausStack:
-    """The Kraus operators of ``ms`` stacked once, for every post-state to
-    come; the outcomes of ``ms[0]`` come first, then those of ``ms[1]``."""
-    outcomes = [o for m in ms for o in m.outcomes]
-    kraus = np.array([k for _, ks in outcomes for k in ks])
-    owner = np.repeat(np.arange(len(outcomes)), [len(ks) for _, ks in outcomes])
-    weights = np.concatenate([m.weights for m in ms])
-    return _KrausStack(weights, kraus, kraus.conj().swapaxes(1, 2), owner)
-
-
-def _post_states(stack: _KrausStack, factors: np.ndarray) -> np.ndarray:
+def _post_states(m: GeneralizedMeasurement, factors: np.ndarray) -> np.ndarray:
     """Each outcome's unnormalized post-state ``Σ_j Y_j Y_j†``, given one
-    factor ``Y_j`` per Kraus operator, stacked as ``stack.kraus`` is.
+    factor ``Y_j`` per Kraus operator, stacked as ``m.kraus`` is.
     ``np.add.at`` adds the rows in stack order, so each outcome's sum runs
     in Kraus-list order.
 
@@ -247,8 +245,8 @@ def _post_states(stack: _KrausStack, factors: np.ndarray) -> np.ndarray:
     is of rounding size, as long as it is a normal float.
     """
     terms = factors @ factors.conj().swapaxes(1, 2)
-    post = np.zeros((len(stack.weights),) + terms.shape[1:], dtype=complex)
-    np.add.at(post, stack.owner, terms)
+    post = np.zeros((len(m),) + terms.shape[1:], dtype=complex)
+    np.add.at(post, m.owner, terms)
     return post
 
 
@@ -264,11 +262,12 @@ def _outcome_ensemble(weights: np.ndarray, post: np.ndarray) -> Ensemble:
     return _assemble(post[taken] / tr[taken, None, None], probs[taken], taken, len(weights))
 
 
-def _choi_states(stack: _KrausStack, d: int) -> np.ndarray:
+def _choi_states(m: GeneralizedMeasurement) -> np.ndarray:
     """Unnormalized Choi state ``(I ⊗ K)(Φ)`` of each outcome, with ``Φ``
     maximally entangled on ``d × d``: ``(I ⊗ K_j)|Φ⟩`` is ``K_jᵀ`` flattened
     row by row and divided by ``√d``."""
-    return _post_states(stack, stack.kraus.swapaxes(1, 2).reshape(-1, d * d, 1) / np.sqrt(d))
+    d = m.dim
+    return _post_states(m, m.kraus.swapaxes(1, 2).reshape(-1, d * d, 1) / np.sqrt(d))
 
 
 def apply_measurement(m: GeneralizedMeasurement, rho: np.ndarray) -> Ensemble:
@@ -283,18 +282,13 @@ def apply_measurement(m: GeneralizedMeasurement, rho: np.ndarray) -> Ensemble:
     rho = check_density(rho)
     if rho.shape[0] != m.dim:
         raise DimMismatch(f"state dim {rho.shape[0]}, measurement dim {m.dim}")
-    stack = _kraus_stack(m)
-    return _outcome_ensemble(stack.weights, _post_states(stack, stack.kraus @ mat_sqrt_psd(rho)))
+    return _outcome_ensemble(m.weights, _post_states(m, m.kraus @ mat_sqrt_psd(rho)))
 
 
 def _lifted(m: GeneralizedMeasurement, a_dim: int) -> GeneralizedMeasurement:
     """``m`` acting on the system half of ancilla (dim ``a_dim``) ⊗ system;
     lifting keeps validity and Choi distances, so nothing is re-checked."""
-    eye = np.eye(a_dim)
-    return GeneralizedMeasurement(
-        tuple((w, tuple(np.kron(eye, k) for k in kraus)) for w, kraus in m.outcomes),
-        a_dim * m.dim,
-    )
+    return GeneralizedMeasurement(m.weights, np.kron(np.eye(a_dim), m.kraus), m.owner)
 
 
 def jamiolkowski_ensemble(m: GeneralizedMeasurement) -> Ensemble:
@@ -309,8 +303,7 @@ def jamiolkowski_ensemble(m: GeneralizedMeasurement) -> Ensemble:
     :func:`apply_measurement`, zero-probability outcomes are dropped.
     """
     d = m.dim
-    stack = _kraus_stack(m)
-    ens = _outcome_ensemble(stack.weights, _choi_states(stack, d))
+    ens = _outcome_ensemble(m.weights, _choi_states(m))
     marg = partial_trace(average_state(ens), (d, d), "A")
     if float(np.linalg.norm(marg - np.eye(d) / d)) > MARGINAL_TOL:
         raise InvalidMeasurement("average Choi state has a skewed untouched marginal")
@@ -520,12 +513,12 @@ def _coupling_gradient(kind: str, factors, outputs, coupling, stack) -> np.ndarr
     ``M_i = U_{s(i)} w_i I`` for each kept outcome ``i`` of support state
     ``s(i)`` (``W`` on the second side), plus ``H_s`` on the outcome that
     ``s`` moves with: the first kept one, on the first side first, that
-    went into it.  ``stack`` is the :class:`_KrausStack` of both
-    measurements, ``factors`` its rows ``K_r ψ`` and ``outputs`` the two
-    output ensembles.
+    went into it.  ``stack`` joins both measurements' Kraus stacks
+    (see :class:`_InputScore`), ``factors`` is its rows ``K_r ψ`` and
+    ``outputs`` the two output ensembles.
     """
     support, table = coupling.support, coupling.table
-    omega = np.asarray(support.omega)
+    omega = support.omega
     u, v = np.nonzero(table > 0.0)
     off = u != v
     u, v = u[off], v[off]
@@ -569,8 +562,15 @@ class _InputScore:
     """
 
     def __init__(self, m, n, kind: str, method: str, opts, a_dim: int):
-        self.stack = _kraus_stack(_lifted(m, a_dim), _lifted(n, a_dim))
-        self.split = len(m)  # the first measurement's outcomes in the stack
+        # both measurements' outcomes in one lifted stack, those of m first;
+        # its weights sum to 2, so it is a container, not a measurement
+        joined = GeneralizedMeasurement(
+            np.concatenate([m.weights, n.weights]),
+            np.concatenate([m.kraus, n.kraus]),
+            np.concatenate([m.owner, n.owner + len(m)]),
+        )
+        self.stack = _lifted(joined, a_dim)
+        self.split = len(m)
         self.kind, self.method, self.opts = kind, method, opts
         self.sign = 1.0 if kind == "distance" else -1.0
         self.evaluations = 0

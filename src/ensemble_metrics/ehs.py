@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ensembles import Ensemble, average_state, unify_support
+from .ensembles import Ensemble, average_state, make_ensemble, pure_state, unify_support
 from .errors import InvalidParams, NotPure
 from .kantorovich import kantorovich_distance, transportation_lp
 from .linalg import fidelity, mat_sqrt_psd, pairwise_matrix, spectral_map, trace_distance
@@ -120,15 +120,13 @@ def project_rows_to_simplex(x: np.ndarray, masses: np.ndarray) -> np.ndarray:
 class _DistanceObjective:
     """Value, subgradient and dual bound of the table-pair distance objective."""
 
-    def __init__(self, omega, p: np.ndarray, q: np.ndarray):
-        n = len(omega)
-        stack = np.stack(omega)
-        self.n = n
+    def __init__(self, omega: np.ndarray, p: np.ndarray, q: np.ndarray):
+        self.n = n = len(omega)
         self.p = p
         self.q = q
-        self.rho = np.repeat(stack, n, axis=0)  # block e=(i,j): rho_i
-        self.sigma = np.tile(stack, (n, 1, 1))  # block e=(i,j): sigma_j
-        fro2 = np.real(np.einsum("kij,kji->k", stack, stack))
+        self.rho = np.repeat(omega, n, axis=0)  # block e=(i,j): rho_i
+        self.sigma = np.tile(omega, (n, 1, 1))  # block e=(i,j): sigma_j
+        fro2 = np.real(np.einsum("kij,kji->k", omega, omega))
         self.step_norm = 0.5 * float(np.sqrt(2.0 * fro2.max()))  # ‖K‖ bound
 
     def blocks(self, ptab: np.ndarray, qtab: np.ndarray) -> np.ndarray:
@@ -296,7 +294,6 @@ def ehs_bures(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) -> tu
     """Bures length and angle derived from one fidelity solve:
     ``sqrt(1 - F)`` and ``arccos F``."""
     f = ehs_fidelity(a, b, opts).value
-    f = min(max(f, 0.0), 1.0)
     return float(np.sqrt(1.0 - f)), float(np.arccos(f))
 
 
@@ -312,8 +309,6 @@ def uhlmann_pure_ensembles(rho: np.ndarray, sigma: np.ndarray):
     to roundoff.  Rank-deficient inputs simply produce zero-weight terms,
     which are dropped.
     """
-    from .ensembles import make_ensemble, pure_state
-
     sr = mat_sqrt_psd(rho)
     ss = mat_sqrt_psd(sigma)
     u, _, vh = np.linalg.svd(sr @ ss)
@@ -337,7 +332,8 @@ def pure_ensemble_fidelity(a: Ensemble, b: Ensemble, opts: SolverOptions | None 
 
     Raises NotPure when any state has purity ``Tr rho²`` below ``1 - 1e-8``.
     """
-    purity = min(float(np.real(np.trace(mat @ mat))) for mat in a.states + b.states)
+    states = np.concatenate([a.states, b.states])
+    purity = min(float(np.real(np.trace(mat @ mat))) for mat in states)
     if purity < 1.0 - _PURITY_TOL:
         raise NotPure(f"state purity {purity} below {1 - _PURITY_TOL}")
     return ehs_fidelity(a, b, opts).value

@@ -80,17 +80,19 @@ def pure_state(vec: np.ndarray) -> np.ndarray:
 class Ensemble:
     """Probability distribution over pairwise-distinct density matrices.
 
-    ``index``, when the ensemble was built from a list of pairs, gives for
-    each pair the state it went into, or -1 for a pair that was dropped.
+    ``states`` is one ``(n, d, d)`` complex stack, state ``k`` of
+    probability ``probs[k]``.  ``index``, when the ensemble was built from a
+    list of pairs, gives for each pair the state it went into, or -1 for a
+    pair that was dropped.
     """
 
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
     probs: np.ndarray
     index: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
-        return self.states[0].shape[0]
+        return self.states.shape[1]
 
     @property
     def size(self) -> int:
@@ -157,7 +159,8 @@ def merge_near_equal(
     """Indices of the states kept, their summed weights, and for each given
     state the position in the kept list of the state it went into: walking
     in order, a state within 1e-9 in trace distance of a kept one adds its
-    weight (a number or a row) to the first such state."""
+    weight (a number or a row) to the first such state.  A complex stack is
+    used as it is."""
     stack = np.asarray(states, dtype=complex)
     first, second = _near_pairs(stack)
     if not len(first):  # every state is kept with its own weight
@@ -239,16 +242,16 @@ def _assemble(stack: np.ndarray, probs, taken, count: int) -> Ensemble:
         raise InvalidState(f"probabilities sum to {total}, expected 1")
     index = np.full(count, -1)
     index[taken] = into
-    return Ensemble(tuple(stack[kept]), merged / total, index)
+    return Ensemble(stack[kept], merged / total, index)
 
 
 @dataclass(frozen=True, eq=False)
 class SupportPair:
-    """Two distributions over a shared list of distinct states.  ``index``
-    gives the support position of each state of the first ensemble, then
-    of the second."""
+    """Two distributions over a shared ``(n, d, d)`` stack ``omega`` of
+    distinct states.  ``index`` gives the support position of each state of
+    the first ensemble, then of the second."""
 
-    omega: tuple[np.ndarray, ...]
+    omega: np.ndarray
     p: np.ndarray
     q: np.ndarray
     index: np.ndarray
@@ -263,19 +266,16 @@ def unify_support(a: Ensemble, b: Ensemble) -> SupportPair:
     """
     if a.dim != b.dim:
         raise DimMismatch(f"ensembles of dimension {a.dim} and {b.dim}")
-    states = a.states + b.states
+    states = np.concatenate([a.states, b.states])
     weights = np.zeros((len(states), 2))
     weights[: a.size, 0], weights[a.size :, 1] = a.probs, b.probs
     kept, pq, index = merge_near_equal(states, weights)
-    return SupportPair(tuple(states[i] for i in kept), pq[:, 0], pq[:, 1], index)
+    return SupportPair(states[kept], pq[:, 0], pq[:, 1], index)
 
 
 def average_state(e: Ensemble) -> np.ndarray:
     """Barycenter ``sum_i p_i rho_i`` of an ensemble."""
-    out = np.zeros((e.dim, e.dim), dtype=complex)
-    for p, mat in e:
-        out += p * mat
-    return out
+    return np.einsum("k,kij->ij", e.probs, e.states)
 
 
 def holevo_chi(e: Ensemble) -> float:
@@ -356,9 +356,7 @@ def make_ehs_state(e: Ensemble, assignment: Sequence[Sequence[tuple[int, float]]
     for i, rows in enumerate(assignment):
         scale = e.probs[i] / float(sum(w for _, w in rows))
         for c, w in rows:
-            flag = np.zeros((pointer_dim, pointer_dim))
-            flag[c, c] = 1.0
-            mat += np.kron((w * scale) * e.states[i], flag)
+            mat[c::pointer_dim, c::pointer_dim] += (w * scale) * e.states[i]
     return EhsState(mat, d, pointer_dim)
 
 

@@ -394,3 +394,7 @@ def test_criterion_12_cli_goldens_and_selftest(capsys, monkeypatch):
     assert selftest.run("quick") == 0
     assert time.monotonic() - start <= 30.0
     capsys.readouterr()
+    # the full level adds the games, triangle, Choi-marginal, worst-case
+    # floor and wide-oracle checks
+    assert main(["selftest", "--level", "full"]) == 0
+    assert "15 checks passed" in capsys.readouterr().out

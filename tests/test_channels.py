@@ -445,7 +445,9 @@ def test_jamiolkowski_ensemble_equals_lifted_measurement_of_phi(d, kraus):
 def test_jamiolkowski_ensemble_drops_an_all_zero_outcome_quietly():
     z = _z_meas()
     zero = np.zeros((2, 2), dtype=complex)
-    hand = GeneralizedMeasurement(z.outcomes + ((0.25, (zero, zero)),), 2)
+    hand = GeneralizedMeasurement(
+        np.append(z.weights, 0.25), np.concatenate([z.kraus, [zero, zero]]), np.append(z.owner, [2, 2])
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ens = jamiolkowski_ensemble(hand)

@@ -110,6 +110,20 @@ def test_parse_failures_exit_2(path, capsys, monkeypatch):
     assert captured.out == ""
 
 
+def _edited(target, edits, tmp_path) -> Path:
+    """A copy of the fixture ``target`` in ``tmp_path`` with each
+    ``(where, value)`` of ``edits`` set, ``where`` being a path of keys."""
+    doc = json.loads((DATA / target).read_text())
+    for where, value in edits:
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+    bad = tmp_path / target
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
 NONFINITE_CASES = [
     ("p-nan", "dist", "classic_p.json", "classic_q.json", ("states", 0, "p"), math.nan),
     ("rho-nan", "dist", "classic_p.json", "classic_q.json", ("states", 0, "rho", 0, 0, 0), math.nan),
@@ -133,18 +147,49 @@ NONFINITE_CASES = [
 )
 def test_malformed_numbers_exit_2(command, target, other, where, value, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(SEED_ENV, raising=False)
-    doc = json.loads((DATA / target).read_text())
-    node = doc
-    for key in where[:-1]:
-        node = node[key]
-    node[where[-1]] = value
-    bad = tmp_path / target
-    bad.write_text(json.dumps(doc))
+    bad = _edited(target, [(where, value)], tmp_path)
     code = main([command, str(bad), str(DATA / other)])
     captured = capsys.readouterr()
     assert code == 2
     field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in where)
     assert captured.err.startswith(f"parse error: {bad}{field}: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+MALFORMED_CASES = [
+    ("states-empty", "dist", "classic_p.json", "classic_q.json", [(("states",), [])], 2,
+     ".states: expected a non-empty list"),
+    ("state-not-object", "dist", "classic_p.json", "classic_q.json", [(("states", 0), 5)], 2,
+     ".states[0]: expected an object"),
+    ("outcome-not-object", "channel", "measz.json", "measx.json", [(("outcomes", 0), 5)], 2,
+     ".outcomes[0]: expected an object"),
+    ("kraus-empty", "channel", "measz.json", "measx.json", [(("outcomes", 0, "kraus"), [])], 2,
+     ".outcomes[0].kraus: expected a non-empty list"),
+    ("weights-zero", "channel", "measz.json", "measx.json",
+     [(("outcomes", 0, "weight"), 0), (("outcomes", 1, "weight"), 0)], 5,
+     "measurement with no positive-weight outcomes"),
+    ("weight-negative", "channel", "measz.json", "measx.json", [(("outcomes", 0, "weight"), -0.5)], 5,
+     "negative outcome weight -0.5"),
+    ("elements-empty", "povm", "povmz.json", "povmx.json", [(("elements",), [])], 2,
+     ".elements: expected a non-empty list"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,target,other,edits,code,message",
+    [c[1:] for c in MALFORMED_CASES],
+    ids=[c[0] for c in MALFORMED_CASES],
+)
+def test_malformed_documents_exit_with_their_code(
+    command, target, other, edits, code, message, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    bad = _edited(target, edits, tmp_path)
+    assert main([command, str(bad), str(DATA / other)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"{message}\n")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
@@ -224,7 +269,7 @@ def test_povm_with_no_ensemble_exits_5(elements, tmp_path, capsys, monkeypatch):
     # no density matrix to 1e-10
     monkeypatch.delenv(SEED_ENV, raising=False)
     bad = tmp_path / "povm.json"
-    bad.write_text(json.dumps(povm_to_json(Povm(tuple(elements), 2))))
+    bad.write_text(json.dumps(povm_to_json(Povm(np.array(elements, dtype=complex)))))
     code = main(["povm", str(bad), str(DATA / "povmz.json")])
     assert code == 5
     assert capsys.readouterr().err.startswith("invalid device: elements give no ensemble:")

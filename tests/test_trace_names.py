@@ -1,8 +1,9 @@
 """The benchmark's tracer patches functions by name; a rename in the library
 would leave it tracing nothing.  Check that every name it lists still
-resolves, that every solver attribute it records exists, and that its count
-of score evaluations agrees with the report, loading `perfbench/spans.py` by
-path and nothing else of the benchmark."""
+resolves, that every solver attribute it records exists, that its count of
+score evaluations agrees with the report, and that one request of each
+command feeds the layers it fed when this test was written, loading
+`perfbench/spans.py` by path and nothing else of the benchmark."""
 
 import contextlib
 import importlib
@@ -13,6 +14,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ensemble_metrics.cli import main
 from ensemble_metrics.ehs import ehs_distance, ehs_fidelity
@@ -55,22 +57,51 @@ def test_traced_attributes_exist_on_solver_results():
         assert attrs, f"the tracer records nothing for {name}"
 
 
+def _traced(argv):
+    """The report and the per-layer metrics of one request run under the
+    tracer."""
+    spans = _spans_module()
+    argv = [str(DATA / tok) if tok.endswith(".json") else tok for tok in argv]
+    tracer = spans.Tracer()
+    tracer.install()
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    return json.loads(out.getvalue()), spans.layer_metrics(tracer.spans, 1)
+
+
 def test_traced_score_evaluations_equal_the_reported_count():
     # the per-layer count channels.score_evaluations reads the same searches
     # as the report's solver.evaluations, for either measure
-    spans = _spans_module()
     for measure in ("dist", "fid"):
-        argv = ["channel", str(DATA / "measz.json"), str(DATA / "measx.json"), "--compare",
-                "worst", "--measure", measure, "--worst-restarts", "1", "--worst-steps", "3"]
-        tracer = spans.Tracer()
-        tracer.install()
-        out = io.StringIO()
-        try:
-            with contextlib.redirect_stdout(out):
-                assert main(argv) == 0
-        finally:
-            tracer.uninstall()
-        reported = json.loads(out.getvalue())["solver"]["evaluations"]
-        counted = spans.layer_metrics(tracer.spans, 1)["channels.score_evaluations"][0]
+        report, metrics = _traced(["channel", "measz.json", "measx.json", "--compare", "worst",
+                                   "--measure", measure, "--worst-restarts", "1",
+                                   "--worst-steps", "3"])
+        reported = report["solver"]["evaluations"]
         assert reported > 0, measure
-        assert counted == reported, measure
+        assert metrics["channels.score_evaluations"][0] == reported, measure
+
+
+# Per-layer metrics that one request of each command feeds: a change that
+# calls around a traced name fails here instead of zeroing a benchmark layer.
+LAYER_CASES = [
+    (["dist", "rand_a.json", "rand_b.json"],
+     {"ensembles.make_ensemble_calls": 2, "ensembles.unify_support_calls": 1,
+      "kantorovich.coupling_lp_calls": 1, "kantorovich.transportation_lp_calls": 1}, ()),
+    (["fid", "bell.json", "prods.json", "--method", "ehs"], {}, ("ehs.fidelity_sweeps",)),
+    (["channel", "measz.json", "measx.json"], {"channels.make_measurement_calls": 2},
+     ("channels.device_to_ensemble_ms",)),
+    (["povm", "povmz.json", "povmx.json", "--measure", "fid"],
+     {"kantorovich.coupling_lp_calls": 1}, ("channels.device_to_ensemble_ms",)),
+]
+
+
+@pytest.mark.parametrize("argv, counts, positive", LAYER_CASES, ids=[c[0][0] for c in LAYER_CASES])
+def test_each_command_feeds_its_traced_layers(argv, counts, positive):
+    _, metrics = _traced(argv)
+    assert {name: metrics[name][0] for name in counts} == counts
+    for name in positive:
+        assert metrics[name][0] > 0, name
