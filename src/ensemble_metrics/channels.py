@@ -112,53 +112,63 @@ def make_measurement(outcomes) -> GeneralizedMeasurement:
     normalization, the weight sum, or completeness is off by more than 1e-8
     (the message carries the residual norm).
     """
-    weights, mats, counts = [], [], []
-    dim = None
-    for weight, kraus in outcomes:
+    weights, kraus = [], []
+    for weight, ks in outcomes:
         weight = float(weight)
         if not np.isfinite(weight):
             raise InvalidMeasurement(f"non-finite outcome weight {weight}")
         if weight < -MEAS_TOL:
             raise InvalidMeasurement(f"negative outcome weight {weight}")
-        if weight <= 0.0:
-            continue
-        kraus = [as_operator(k) for k in kraus]
-        if not kraus:
-            raise InvalidMeasurement("outcome with empty Kraus list")
-        if dim is None:
-            dim = kraus[0].shape[0]
-        for k in kraus:
-            if k.shape[0] != dim:
-                raise DimMismatch(f"Kraus operator on dim {k.shape[0]}, expected {dim}")
-        norm = float(np.real(sum(np.trace(k.conj().T @ k) for k in kraus)))
-        if abs(norm - dim) > MEAS_TOL * dim:
-            raise InvalidMeasurement(
-                f"outcome normalization Tr sum M†M = {norm:.12g}, expected {dim} "
-                f"(residual {abs(norm - dim):.3e})"
-            )
-        weights.append(weight)
-        mats += kraus
-        counts.append(len(kraus))
+        if weight > 0.0:
+            weights.append(weight)
+            kraus.append(list(ks))
     if not weights:
         raise InvalidMeasurement("measurement with no positive-weight outcomes")
+    if not all(kraus):
+        raise InvalidMeasurement("outcome with empty Kraus list")
+    mats = [as_operator(k) for ks in kraus for k in ks]
+    _check_one_dim(mats, "Kraus operator")
+    owner = np.repeat(np.arange(len(weights)), [len(ks) for ks in kraus])
+    return _checked_measurement(np.array(weights), np.array(mats), owner)
 
-    total = sum(weights)
+
+def _check_one_dim(mats, noun: str) -> None:
+    """Raise DimMismatch at the first of ``mats`` whose dimension is not
+    that of the first."""
+    dim = mats[0].shape[0]
+    other = next((k.shape[0] for k in mats if k.shape[0] != dim), None)
+    if other is not None:
+        raise DimMismatch(f"{noun} on dim {other}, expected {dim}")
+
+
+def _checked_measurement(weights, kraus, owner) -> GeneralizedMeasurement:
+    """The measurement of positive ``weights`` and Kraus rows grouped by
+    ``owner``, once each outcome's normalization, the weight sum and
+    completeness hold to 1e-8; outcomes whose Choi states coincide merge."""
+    m = GeneralizedMeasurement(weights, kraus, owner)
+    dim = m.dim
+    gram = m.adjoints @ m.kraus
+    norms = np.bincount(owner, np.trace(gram, axis1=1, axis2=2).real, len(weights))
+    off = np.abs(norms - dim) > MEAS_TOL * dim
+    if off.any():
+        norm = norms[np.argmax(off)]
+        raise InvalidMeasurement(
+            f"outcome normalization Tr sum M†M = {norm:.12g}, expected {dim} "
+            f"(residual {abs(norm - dim):.3e})"
+        )
+    total = float(np.sum(weights))
     if abs(total - 1.0) > MEAS_TOL:
         raise InvalidMeasurement(
             f"outcome weights sum to {total:.12g} (residual {abs(total - 1.0):.3e})"
         )
-
-    m = GeneralizedMeasurement(
-        np.array(weights), np.array(mats), np.repeat(np.arange(len(weights)), counts)
-    )
-    comp = np.einsum("r,rij->ij", m.weights[m.owner], m.adjoints @ m.kraus)
+    comp = np.einsum("r,rij->ij", weights[owner], gram)
     residual = float(np.linalg.norm(comp - np.eye(dim)))
     if residual > MEAS_TOL * dim:
         raise InvalidMeasurement(f"completeness residual norm {residual:.3e}")
 
-    kept, merged, into = merge_near_equal(_choi_states(m), m.weights)
-    rows = np.array(kept)[into[m.owner]] == m.owner  # the rows of kept outcomes
-    return GeneralizedMeasurement(merged, m.kraus[rows], into[m.owner[rows]])
+    kept, merged, into = merge_near_equal(_choi_states(m), weights)
+    rows = np.array(kept)[into[owner]] == owner  # the rows of kept outcomes
+    return GeneralizedMeasurement(merged, kraus[rows], into[owner[rows]])
 
 
 def projective_measurement(vectors) -> GeneralizedMeasurement:
@@ -185,46 +195,48 @@ def compose_measurements(
 ) -> GeneralizedMeasurement:
     """Measurement performing ``first`` and then ``second``.
 
-    Composite outcome (i, k) carries all Kraus products; each is rescaled
-    back to the per-outcome normalization convention and the weight picks up
-    the rescaling factor, so duplicates merge in make_measurement.
+    Composite outcome (i, k) carries all Kraus products ``K2 K1``, those of
+    ``K2`` outer; each is rescaled back to the per-outcome normalization
+    convention and the weight picks up the rescaling factor, so duplicates
+    merge.  Composites whose products all vanish are dropped.
     """
-    if second.dim != first.dim:
-        raise DimMismatch(f"dims {second.dim} and {first.dim} differ")
+    _check_dims(second, first)
     d = first.dim
-    outcomes = []
-    for w2, kraus2 in second.outcomes:
-        for w1, kraus1 in first.outcomes:
-            prod = [k2 @ k1 for k2 in kraus2 for k1 in kraus1]
-            norm = float(np.real(sum(np.trace(k.conj().T @ k) for k in prod)))
-            if norm <= 0.0:
-                continue
-            scale = np.sqrt(d / norm)
-            outcomes.append((w2 * w1 * norm / d, [scale * k for k in prod]))
-    return make_measurement(outcomes)
+    prods = (second.kraus[:, None] @ first.kraus[None]).reshape(-1, d, d)
+    composite = (second.owner[:, None] * len(first) + first.owner[None]).reshape(-1)
+    order = np.argsort(composite, kind="stable")  # (i, k) by (i, k), K2 outer within
+    prods, composite = prods[order], composite[order]
+    norms = np.bincount(composite, np.sum(np.abs(prods) ** 2, axis=(1, 2)))  # every (i, k) has rows
+    weights = np.outer(second.weights, first.weights).reshape(-1) * norms / d
+    kept = weights > 0.0
+    rows = kept[composite]
+    scale = np.sqrt(d / norms[composite[rows]])
+    renumber = np.cumsum(kept) - 1
+    return _checked_measurement(
+        weights[kept], scale[:, None, None] * prods[rows], renumber[composite[rows]]
+    )
 
 
 def make_povm(elements) -> Povm:
     """Validate a POVM: PSD elements summing to the identity within 1e-8,
     whose ensemble (:func:`povm_to_ensemble`) exists.  Each element of
-    positive trace, divided by it, must be a density matrix to 1e-10."""
+    positive trace, divided by it, must be a density matrix to 1e-10.
+    The checks run on the whole stack: dimensions, then Hermiticity of
+    every element, then positivity, then the sum."""
     mats = [as_operator(e) for e in elements]
     if not mats:
         raise InvalidPovm("empty element list")
-    d = mats[0].shape[0]
-    acc = np.zeros((d, d), dtype=complex)
-    for e in mats:
-        if e.shape[0] != d:
-            raise DimMismatch(f"element on dim {e.shape[0]}, expected {d}")
-        if np.linalg.norm(e - e.conj().T) > MEAS_TOL:
-            raise InvalidPovm("element is not Hermitian")
-        if float(np.linalg.eigvalsh(e)[0]) < -MEAS_TOL:
-            raise InvalidPovm("element has a negative eigenvalue")
-        acc += e
-    residual = float(np.linalg.norm(acc - np.eye(d)))
+    _check_one_dim(mats, "element")
+    stack = np.array(mats)
+    d = stack.shape[1]
+    if np.max(np.linalg.norm(stack - stack.conj().swapaxes(1, 2), axis=(1, 2))) > MEAS_TOL:
+        raise InvalidPovm("element is not Hermitian")
+    if np.min(np.linalg.eigvalsh(stack)[:, 0]) < -MEAS_TOL:
+        raise InvalidPovm("element has a negative eigenvalue")
+    residual = float(np.linalg.norm(stack.sum(axis=0) - np.eye(d)))
     if residual > MEAS_TOL * d:
         raise InvalidPovm(f"elements sum residual norm {residual:.3e}")
-    povm = Povm(np.array(mats))
+    povm = Povm(stack)
     try:
         povm_to_ensemble(povm)
     except InvalidState as exc:
@@ -310,14 +322,16 @@ def jamiolkowski_ensemble(m: GeneralizedMeasurement) -> Ensemble:
     return ens
 
 
-def _ensemble_measure(a: Ensemble, b: Ensemble, kind: str, method: str, opts) -> float:
-    """Ensemble distance or fidelity (``kind``) by the named method."""
+def _ensemble_measure(a: Ensemble, b: Ensemble, kind: str, method: str, opts):
+    """Ensemble distance or fidelity (``kind``) by the named method, and
+    whether its solve converged."""
     if method == "kantorovich":
         measure = kantorovich_distance if kind == "distance" else kantorovich_fidelity
-        return measure(a, b)[0]
+        return measure(a, b)[0], True
     if method == "ehs":
         measure = ehs_distance if kind == "distance" else ehs_fidelity
-        return measure(a, b, opts).value
+        report = measure(a, b, opts)
+        return report.value, report.converged
     raise InvalidParams(f"unknown method {method!r}")
 
 
@@ -326,9 +340,10 @@ def _check_dims(x, y) -> None:
         raise DimMismatch(f"dims {x.dim} and {y.dim} differ")
 
 
-def _iso(m, n, kind: str, method: str, opts) -> float:
-    _check_dims(m, n)
-    return _ensemble_measure(jamiolkowski_ensemble(m), jamiolkowski_ensemble(n), kind, method, opts)
+def _device_measure(x, y, to_ensemble, kind: str, method: str, opts) -> float:
+    """Ensemble measure of the ensembles two devices give through ``to_ensemble``."""
+    _check_dims(x, y)
+    return _ensemble_measure(to_ensemble(x), to_ensemble(y), kind, method, opts)[0]
 
 
 def dist_iso(
@@ -338,7 +353,7 @@ def dist_iso(
     opts: SolverOptions | None = None,
 ) -> float:
     """Ensemble distance between the Choi ensembles of two measurements."""
-    return _iso(m, n, "distance", method, opts)
+    return _device_measure(m, n, jamiolkowski_ensemble, "distance", method, opts)
 
 
 def fid_iso(
@@ -348,7 +363,7 @@ def fid_iso(
     opts: SolverOptions | None = None,
 ) -> float:
     """Ensemble fidelity between the Choi ensembles of two measurements."""
-    return _iso(m, n, "fidelity", method, opts)
+    return _device_measure(m, n, jamiolkowski_ensemble, "fidelity", method, opts)
 
 
 # The tangent-gradient norm at which an ascent from one start stops, and the
@@ -380,7 +395,9 @@ class WorstCase:
     Unpacks as ``(value, state)``.  ``iterations`` is the number of steps
     taken, summed over the starts; ``evaluations`` the number of score
     evaluations; ``stationary_starts`` the number of starts that stopped at
-    a tangent gradient below ``GRAD_NORM_TOL``.
+    a tangent gradient below ``GRAD_NORM_TOL``; ``unconverged`` the number
+    of evaluations whose solve did not converge, after which the value may
+    not be a bound.
     """
 
     value: float
@@ -388,6 +405,7 @@ class WorstCase:
     iterations: int
     evaluations: int
     stationary_starts: int
+    unconverged: int
 
     def __iter__(self):
         return iter((self.value, self.state))
@@ -558,7 +576,8 @@ class _InputScore:
     as :func:`_sphere_search` wants.  For ``method="kantorovich"`` the
     gradient comes from the same solve by :func:`_coupling_gradient`; other
     methods have no dual certificate and difference the values.
-    ``evaluations`` counts the scores computed.
+    ``evaluations`` counts the scores computed, and ``unconverged`` those
+    whose solve did not converge.
     """
 
     def __init__(self, m, n, kind: str, method: str, opts, a_dim: int):
@@ -573,7 +592,7 @@ class _InputScore:
         self.split = len(m)
         self.kind, self.method, self.opts = kind, method, opts
         self.sign = 1.0 if kind == "distance" else -1.0
-        self.evaluations = 0
+        self.evaluations = self.unconverged = 0
         if method == "kantorovich":
             self._evaluate = self._with_duals
         else:
@@ -596,7 +615,9 @@ class _InputScore:
 
     def value(self, x) -> float:
         _, _, ens = self.outputs(x)
-        return self.sign * _ensemble_measure(*ens, self.kind, self.method, self.opts)
+        value, converged = _ensemble_measure(*ens, self.kind, self.method, self.opts)
+        self.unconverged += not converged
+        return self.sign * value
 
     def _with_duals(self, x):
         _, factors, ens = self.outputs(x)
@@ -611,9 +632,9 @@ def _worst_case(m, n, kind: str, method: str, opts, wopts, ancilla_dim) -> Worst
     """Ascent of the distance, or descent of the fidelity, over pure inputs."""
     _check_dims(m, n)
     wopts = WorstCaseOptions() if wopts is None else wopts
-    a_dim = m.dim if ancilla_dim is None else int(ancilla_dim)
-    if a_dim < 1:
-        raise InvalidParams(f"ancilla dimension {a_dim}")
+    a_dim = m.dim if ancilla_dim is None else ancilla_dim
+    if isinstance(a_dim, bool) or not isinstance(a_dim, (int, np.integer)) or a_dim < 1:
+        raise InvalidParams(f"ancilla_dim must be an integer >= 1, got {ancilla_dim!r}")
     d = m.dim
     score = _InputScore(m, n, kind, method, opts, a_dim)
     phi = np.zeros(a_dim * d, dtype=complex)
@@ -621,7 +642,9 @@ def _worst_case(m, n, kind: str, method: str, opts, wopts, ancilla_dim) -> Worst
         phi[j * d + j] = 1.0
     phi = _unit(phi)
     val, psi, steps, stationary = _sphere_search(score, a_dim * d, wopts, [phi])
-    return WorstCase(float(score.sign * val), psi, steps, score.evaluations, stationary)
+    return WorstCase(
+        float(score.sign * val), psi, steps, score.evaluations, stationary, score.unconverged
+    )
 
 
 def dist_max(
@@ -662,20 +685,15 @@ def povm_to_ensemble(p: Povm) -> Ensemble:
     return p._ensemble
 
 
-def _povm(p: Povm, q: Povm, kind: str, method: str, opts) -> float:
-    _check_dims(p, q)
-    return _ensemble_measure(povm_to_ensemble(p), povm_to_ensemble(q), kind, method, opts)
-
-
 def povm_distance(
     p: Povm, q: Povm, method: str = "kantorovich", opts: SolverOptions | None = None
 ) -> float:
     """Ensemble distance between the normalized-element ensembles."""
-    return _povm(p, q, "distance", method, opts)
+    return _device_measure(p, q, povm_to_ensemble, "distance", method, opts)
 
 
 def povm_fidelity(
     p: Povm, q: Povm, method: str = "kantorovich", opts: SolverOptions | None = None
 ) -> float:
     """Ensemble fidelity between the normalized-element ensembles."""
-    return _povm(p, q, "fidelity", method, opts)
+    return _device_measure(p, q, povm_to_ensemble, "fidelity", method, opts)

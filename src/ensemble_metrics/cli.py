@@ -306,7 +306,10 @@ def cmd_channel(args) -> int:
                 "stationary_starts": found.stationary_starts,
             },
         }
-        code = EXIT_OK
+        # an unconverged solve may leave the value on the wrong side
+        code = EXIT_NO_CONVERGENCE if found.unconverged else EXIT_OK
+        if args.method == "ehs":
+            report["solver"]["unconverged"] = found.unconverged
     _emit(report)
     return code
 

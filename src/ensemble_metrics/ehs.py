@@ -214,6 +214,14 @@ def ehs_distance(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) ->
     return SolveReport(value, JointPair(ptab, qtab), iters, (lower, dk), converged)
 
 
+def _rescale_rows(num: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Each row of ``num`` scaled to sum to its mass; a row summing to 0
+    spreads its mass evenly."""
+    rs = num.sum(axis=1, keepdims=True)
+    spread = masses[:, None] * num / np.where(rs > 0.0, rs, 1.0)
+    return np.where(rs > 0.0, spread, masses[:, None] / num.shape[1])
+
+
 def _bca(p: np.ndarray, q: np.ndarray, w: np.ndarray, opts: SolverOptions):
     """Block coordinate ascent for ``max sum sqrt(P_e Q_e) w_e``.
 
@@ -250,18 +258,8 @@ def _bca(p: np.ndarray, q: np.ndarray, w: np.ndarray, opts: SolverOptions):
         stalled = False
         for _ in range(opts.max_iter):
             total_sweeps += 1
-            num = qt * w2
-            rs = num.sum(axis=1)
-            pt = np.where(
-                (rs > 0.0)[:, None], p[:, None] * num / np.where(rs > 0.0, rs, 1.0)[:, None],
-                p[:, None] / n,
-            )
-            num = pt * w2
-            cs = num.sum(axis=0)
-            qt = np.where(
-                (cs > 0.0)[None, :], q[None, :] * num / np.where(cs > 0.0, cs, 1.0)[None, :],
-                q[None, :] / n,
-            )
+            pt = _rescale_rows(qt * w2, p)
+            qt = _rescale_rows((pt * w2).T, q).T
             new_val = value_of(pt, qt)
             if new_val - val < 1e-10:
                 val = max(val, new_val)

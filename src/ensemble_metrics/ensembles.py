@@ -102,17 +102,16 @@ class Ensemble:
         return iter(zip(self.probs, self.states))
 
 
-# The merge screen.  Half the Frobenius norm of the Hermitian part of a
-# difference never exceeds its trace distance, so only pairs within twice
-# DISTINCT_TOL in it take the exact trace distance; the factor 2 covers the
-# screen's roundoff.
-_SCREEN_TOL = 2.0 * DISTINCT_TOL
-_SCREEN_BLOCK = 64
+# The merge window.  A pair within DISTINCT_TOL in trace distance has
+# ½‖H‖_F <= DISTINCT_TOL, ``H`` the Hermitian part of its difference, so its
+# projections on a unit direction lie within 2 · DISTINCT_TOL; the window
+# doubles that to cover the projection's roundoff.
+_WINDOW = 4.0 * DISTINCT_TOL
 
 
 @lru_cache(maxsize=None)
-def _screen_direction(length: int) -> np.ndarray:
-    """The fixed unit direction the screen projects on, read-only."""
+def _window_direction(length: int) -> np.ndarray:
+    """The fixed unit direction the window projects on, read-only."""
     direction = np.sin(np.arange(1.0, length + 1.0))
     direction = direction / np.linalg.norm(direction)
     direction.flags.writeable = False
@@ -122,33 +121,23 @@ def _screen_direction(length: int) -> np.ndarray:
 def _near_pairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairs ``i < j`` of a stack of states within 1e-9 in trace distance.
 
-    The screen ``½‖H‖_F <= 2e-9``, with ``H`` the Hermitian part of the
-    difference, is computed from the differences themselves: through a
-    Gram matrix, cancellation would leave errors far above 1e-9.  It runs only
-    on pairs whose projections on one fixed unit direction lie within
-    ``2 · 2e-9`` (Cauchy–Schwarz: no pair that passes is left out), which
-    one sort finds.  The pairs that pass take the exact trace distance,
+    The candidates are the pairs whose Hermitian parts project on one fixed
+    unit direction within ``_WINDOW`` of each other (no pair within 1e-9 is
+    left out), which one sort finds.  They take the exact trace distance,
     computed lower index first as :func:`pairwise_matrix` does.
     """
     n = len(stack)
     herm = (stack + stack.conj().swapaxes(1, 2)) / 2.0
     v = herm.reshape(n, -1).view(float)
-    shadow = v @ _screen_direction(v.shape[1])
+    shadow = v @ _window_direction(v.shape[1])
     order = np.argsort(shadow, kind="stable")
-    reach = np.searchsorted(shadow[order], shadow[order] + 2.0 * _SCREEN_TOL, side="right")
-    if np.array_equal(reach, np.arange(1, n + 1)):  # no two states within reach
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
-    pairs = np.array(
-        [(order[a], order[b]) for a in range(n) for b in range(a + 1, reach[a])], dtype=int
-    ).reshape(-1, 2)
-    pairs.sort(axis=1)
-    first, second = pairs.T
-    keep = np.empty(len(first), dtype=bool)
-    for s in range(0, len(first), _SCREEN_BLOCK):
-        diff = v[first[s : s + _SCREEN_BLOCK]] - v[second[s : s + _SCREEN_BLOCK]]
-        squares = np.einsum("ij,ij->i", diff, diff)
-        keep[s : s + _SCREEN_BLOCK] = squares <= (2.0 * _SCREEN_TOL) ** 2
-    first, second = first[keep], second[keep]
+    reach = np.searchsorted(shadow[order], shadow[order] + _WINDOW, side="right")
+    counts = reach - np.arange(1, n + 1)  # the sorted positions after each one in reach
+    a = np.repeat(np.arange(n), counts)
+    if not len(a):  # no two states within reach
+        return a, a
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(counts) - counts, counts)
+    first, second = np.sort(np.stack([order[a], order[b]]), axis=0)
     near = pair_values(stack, first, second, "distance") <= DISTINCT_TOL
     return first[near], second[near]
 
@@ -280,10 +269,7 @@ def average_state(e: Ensemble) -> np.ndarray:
 
 def holevo_chi(e: Ensemble) -> float:
     """Holevo quantity ``S(avg) - sum_i p_i S(rho_i)`` in bits, clamped at 0."""
-    chi = von_neumann_entropy(average_state(e)) - float(
-        sum(p * von_neumann_entropy(mat) for p, mat in e)
-    )
-    return max(0.0, chi)
+    return max(0.0, von_neumann_entropy(average_state(e)) - average_entropy(e))
 
 
 def average_entropy(e: Ensemble) -> float:
@@ -331,6 +317,8 @@ def make_ehs_state(e: Ensemble, assignment: Sequence[Sequence[tuple[int, float]]
     ``assignment[i]`` lists ``(pointer_index, weight)`` pairs for state ``i``.
     Weights of a state must sum to its probability (tolerance 1e-8; they are
     rescaled to match exactly) and a pointer index may serve only one state.
+    Raises OutOfRange unless each pointer index is an integer >= 0 (a bool
+    is not), and WeightMismatch unless each weight is a finite number >= 0.
     """
     if len(assignment) != e.size:
         raise WeightMismatch(f"{len(assignment)} assignments for {e.size} states")
@@ -339,18 +327,20 @@ def make_ehs_state(e: Ensemble, assignment: Sequence[Sequence[tuple[int, float]]
     for i, rows in enumerate(assignment):
         if not rows:
             raise WeightMismatch(f"state {i} has no pointer weights")
+        for c, w in rows:
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0:
+                raise OutOfRange(f"pointer index must be an integer >= 0, got {c!r}")
+            if not isinstance(w, (int, float, np.integer, np.floating)) or not 0.0 <= w < np.inf:
+                raise WeightMismatch(f"pointer weight must be a finite number >= 0, got {w!r}")
+            if c in owner and owner[c] != i:
+                raise PointerReuse(f"pointer {c} assigned to states {owner[c]} and {i}")
+            owner[c] = i
+            pointer_dim = max(pointer_dim, c + 1)
         total = float(sum(w for _, w in rows))
         if abs(total - e.probs[i]) > PROB_TOL:
             raise WeightMismatch(
                 f"weights of state {i} sum to {total}, probability is {e.probs[i]}"
             )
-        for c, w in rows:
-            if w < 0.0:
-                raise WeightMismatch(f"negative pointer weight {w}")
-            if c in owner and owner[c] != i:
-                raise PointerReuse(f"pointer {c} assigned to states {owner[c]} and {i}")
-            owner[c] = i
-            pointer_dim = max(pointer_dim, c + 1)
     d = e.dim
     mat = np.zeros((d * pointer_dim, d * pointer_dim), dtype=complex)
     for i, rows in enumerate(assignment):

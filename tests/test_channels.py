@@ -46,7 +46,7 @@ from ensemble_metrics.errors import (
     InvalidPovm,
     InvalidState,
 )
-from ensemble_metrics.ehs import ehs_distance, ehs_fidelity
+from ensemble_metrics.ehs import SolverOptions, ehs_distance, ehs_fidelity
 from ensemble_metrics.kantorovich import kantorovich_distance, kantorovich_fidelity
 from ensemble_metrics.linalg import (
     mat_pinv_sqrt_psd,
@@ -115,6 +115,58 @@ def test_make_measurement_rejects_non_finite_weight():
     for bad in (np.nan, np.inf):
         with pytest.raises(InvalidMeasurement, match="non-finite"):
             make_measurement([(bad, [proj0]), (0.5, [proj1])])
+
+
+_P0, _P1 = np.sqrt(2.0) * np.diag([1.0, 0.0]), np.sqrt(2.0) * np.diag([0.0, 1.0])
+_NAN_ENTRY = np.where(np.eye(2, dtype=bool), _P0, np.nan)
+
+# inputs with one fault each, and the exception and message they raise
+SINGLE_FAULTS = [
+    pytest.param(make_measurement, [(1.0, [np.eye(2) * 0.5])], InvalidMeasurement,
+                 "outcome normalization Tr sum M†M = 0.5, expected 2 (residual 1.500e+00)",
+                 id="normalization"),
+    pytest.param(make_measurement, [(0.5, [_P0]), (0.5, [0.5 * _P1])], InvalidMeasurement,
+                 "outcome normalization Tr sum M†M = 0.5, expected 2 (residual 1.500e+00)",
+                 id="normalization-of-a-later-outcome"),
+    pytest.param(make_measurement, [(0.3, [_P0]), (0.3, [_P1])], InvalidMeasurement,
+                 "outcome weights sum to 0.6 (residual 4.000e-01)", id="weight-sum"),
+    pytest.param(make_measurement, [(0.5, [_P0]), (0.5, [_P0.copy()])], InvalidMeasurement,
+                 "completeness residual norm 1.414e+00", id="completeness"),
+    pytest.param(make_measurement, [(np.nan, [_P0]), (0.5, [_P1])], InvalidMeasurement,
+                 "non-finite outcome weight nan", id="nan-weight"),
+    pytest.param(make_measurement, [(0.5, [_P0]), (np.inf, [_P1])], InvalidMeasurement,
+                 "non-finite outcome weight inf", id="inf-weight"),
+    pytest.param(make_measurement, [(-0.5, [_P0]), (1.5, [_P1])], InvalidMeasurement,
+                 "negative outcome weight -0.5", id="negative-weight"),
+    pytest.param(make_measurement, [(0.0, [_P0])], InvalidMeasurement,
+                 "measurement with no positive-weight outcomes", id="no-positive-weight"),
+    pytest.param(make_measurement, [(0.5, [_P0]), (0.5, [])], InvalidMeasurement,
+                 "outcome with empty Kraus list", id="empty-kraus-list"),
+    pytest.param(make_measurement, [(0.5, [_P0]), (0.5, [np.sqrt(3.0) * np.diag([1.0, 0, 0])])],
+                 DimMismatch, "Kraus operator on dim 3, expected 2", id="kraus-dims"),
+    pytest.param(make_measurement, [(1.0, [np.ones((2, 3))])], DimMismatch,
+                 "expected a square matrix, got shape (2, 3)", id="non-square-kraus"),
+    pytest.param(make_measurement, [(0.5, [_NAN_ENTRY]), (0.5, [_P1])], ValueError,
+                 "matrix entries must be finite", id="non-finite-kraus-entry"),
+    pytest.param(make_povm, [], InvalidPovm, "empty element list", id="empty-povm"),
+    pytest.param(make_povm, [np.array([[0.5, 0.1], [0.2, 0.5]]), np.eye(2) * 0.5], InvalidPovm,
+                 "element is not Hermitian", id="not-hermitian"),
+    pytest.param(make_povm, [np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])], InvalidPovm,
+                 "element has a negative eigenvalue", id="negative-eigenvalue"),
+    pytest.param(make_povm, [np.eye(2) * 0.4, np.eye(2) * 0.4], InvalidPovm,
+                 "elements sum residual norm 2.828e-01", id="element-sum"),
+    pytest.param(make_povm, [np.eye(2) * 0.5, np.eye(3) * 0.5], DimMismatch,
+                 "element on dim 3, expected 2", id="element-dims"),
+    pytest.param(make_povm, [np.ones((2, 3))], DimMismatch,
+                 "expected a square matrix, got shape (2, 3)", id="non-square-element"),
+]
+
+
+@pytest.mark.parametrize("build, arg, error, message", SINGLE_FAULTS)
+def test_single_fault_raises_its_error_and_message(build, arg, error, message):
+    with pytest.raises(error) as err:
+        build(arg)
+    assert str(err.value) == message
 
 
 def test_make_measurement_merges_equivalent_outcomes():
@@ -401,6 +453,38 @@ def test_compose_measurements_matches_sequential_application():
         assert np.abs(sp.p - sp.q).max() <= 1e-9, f"seed={seed}"
 
 
+def _compose_per_pair(second, first):
+    """compose_measurements as a loop over pairs of outcomes, the Kraus
+    products of each pair rescaled to the normalization convention."""
+    d = first.dim
+    outcomes = []
+    for w2, kraus2 in second.outcomes:
+        for w1, kraus1 in first.outcomes:
+            prod = [k2 @ k1 for k2 in kraus2 for k1 in kraus1]
+            norm = float(sum(np.trace(k.conj().T @ k).real for k in prod))
+            if norm > 0.0:
+                outcomes.append((w2 * w1 * norm / d, [np.sqrt(d / norm) * k for k in prod]))
+    return make_measurement(outcomes)
+
+
+def test_compose_measurements_matches_a_per_pair_loop():
+    # two unitaries of which Z's projections cannot tell: (P_i, I) and (P_i, Z) merge
+    flip = make_measurement([(0.5, [np.eye(2)]), (0.5, [np.diag([1.0, -1.0])])])
+    cases = [(_z_meas(), _z_meas()), (_x_meas(), _z_meas()), (_z_meas(), flip)]
+    for seed in range(3):
+        cases.append((random_measurement(2, 3, seed=seed, kraus_per_outcome=2),
+                      random_measurement(2, 2, seed=40 + seed, kraus_per_outcome=3)))
+        cases.append((random_measurement(3, 2, seed=seed), random_measurement(3, 3, seed=seed)))
+    merged = 0
+    for second, first in cases:
+        got, want = compose_measurements(second, first), _compose_per_pair(second, first)
+        assert len(got) == len(want) and np.array_equal(got.owner, want.owner)
+        assert np.abs(got.weights - want.weights).max() <= 1e-12
+        assert np.abs(got.kraus - want.kraus).max() <= 1e-12
+        merged += len(second) * len(first) - len(got)
+    assert merged >= 3  # the vanishing Z∘Z products and the Z∘flip merges
+
+
 def test_compose_projective_idempotent():
     z = _z_meas()
     zz = compose_measurements(z, z)
@@ -520,6 +604,29 @@ def test_dist_max_system_only_ancilla():
     assert value <= dist_max(z, x, wopts=WorstCaseOptions(restarts=2, max_steps=20))[0] + 1e-6
     with pytest.raises(InvalidParams):
         dist_max(z, x, ancilla_dim=0)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, 2.0, "2", True])
+def test_worst_case_rejects_an_ancilla_dim_that_is_no_integer_above_0(bad):
+    with pytest.raises(InvalidParams, match="ancilla_dim must be an integer >= 1"):
+        dist_max(_z_meas(), _x_meas(), ancilla_dim=bad)
+
+
+@pytest.mark.parametrize("worst", [dist_max, fid_min])
+def test_ehs_worst_case_counts_the_solves_that_did_not_converge(worst):
+    # with no solver iteration the scores are no bounds: the reported value
+    # lies on the wrong side of the converged measure at the state found
+    sign = 1.0 if worst is dist_max else -1.0
+    kind = "distance" if worst is dist_max else "fidelity"
+    wopts = WorstCaseOptions(restarts=0, max_steps=2)
+    for s in range(6):
+        m, n = random_measurement(2, 2, seed=s), random_measurement(2, 2, seed=50 + s)
+        found = worst(m, n, "ehs", SolverOptions(max_iter=0), wopts)
+        assert found.unconverged == found.evaluations > 0
+        score = _InputScore(m, n, kind, "ehs", None, 2)
+        assert sign * (found.value - sign * score.value(_as_real(found.state))) > 1e-3
+        assert score.unconverged == 0
+        assert worst(m, n, wopts=wopts).unconverged == 0
 
 
 def _gradient_gap(score, x, h=1e-6):

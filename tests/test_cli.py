@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -95,6 +96,32 @@ def test_worst_case_report_says_what_the_search_did(measure, bound, capsys, monk
     assert 0 <= solver["iterations"] <= 6
     assert solver["evaluations"] >= solver["iterations"] + 2
     assert 0 <= solver["stationary_starts"] <= 2
+
+
+@pytest.mark.parametrize("max_iter, code", [("0", 4), ("5000", 0)])
+def test_ehs_worst_case_exits_4_when_a_solve_did_not_converge(max_iter, code, capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    argv = ["channel", "measz.json", "measx.json", "--compare", "worst", "--method", "ehs",
+            "--max-iter", max_iter, "--worst-restarts", "0", "--worst-steps", "1"]
+    assert main(_expand(argv)) == code
+    solver = json.loads(capsys.readouterr().out)["solver"]
+    assert solver["unconverged"] == (solver["evaluations"] if code else 0)
+    assert solver["evaluations"] > 0
+
+
+def test_fixtures_regenerate_byte_for_byte(tmp_path):
+    # tests/data/generate.py, pointed at an empty directory, writes every
+    # committed fixture again with the same bytes
+    spec = importlib.util.spec_from_file_location("fixture_generator", DATA / "generate.py")
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    generator.HERE = tmp_path
+    generator.write_fixtures()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    committed = sorted(p.name for p in DATA.iterdir() if p.is_file() and p.name != "generate.py")
+    assert written == committed and len(written) == 19
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(

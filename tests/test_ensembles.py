@@ -352,3 +352,25 @@ def test_make_ehs_state_errors():
         make_ehs_state(ens, [[(0, 0.4)], [(1, 0.5)]])  # wrong total for state 0
     with pytest.raises(PointerReuse):
         make_ehs_state(ens, [[(0, 0.5)], [(0, 0.5)]])
+
+
+@pytest.mark.parametrize(
+    "pointer, weight, error",
+    [
+        (-1, 0.5, OutOfRange),
+        (0.5, 0.5, OutOfRange),
+        (True, 0.5, OutOfRange),
+        ("1", 0.5, OutOfRange),
+        (1, np.nan, WeightMismatch),
+        (1, np.inf, WeightMismatch),
+        (1, -0.5, WeightMismatch),
+        (1, "0.5", WeightMismatch),
+    ],
+)
+def test_make_ehs_state_rejects_bad_pointers_and_weights(pointer, weight, error):
+    ens = make_ensemble([(0.5, KET0), (0.5, KET1)])
+    with pytest.raises(error):
+        make_ehs_state(ens, [[(0, 0.5)], [(pointer, weight)]])
+    # numpy integers and floats are integers and numbers
+    emb = make_ehs_state(ens, [[(np.int64(0), np.float64(0.5))], [(np.int32(1), 0.5)]])
+    assert emb.pointer_dim == 2
