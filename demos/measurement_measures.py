@@ -25,8 +25,8 @@ def main() -> None:
     mz = projective_measurement(np.eye(2))
     mx = projective_measurement(HADAMARD)
 
-    d = dist_iso(mz, mx)
-    f = fid_iso(mz, mx)
+    d = dist_iso(mz, mx).value
+    f = fid_iso(mz, mx).value
     print("Z vs X readout, entangled input:")
     print(f"  distance {d:.9f}   (sqrt(3)/2 = {np.sqrt(3) / 2:.9f})")
     print(f"  fidelity {f:.9f}")
@@ -41,8 +41,8 @@ def main() -> None:
         [HADAMARD @ np.diag(v) @ HADAMARD for v in ([1.0, 0.0], [0.0, 1.0])]
     )
     print("\nsame pair viewed as POVMs (outcome statistics only):")
-    print(f"  distance {povm_distance(pz, px):.9f}   (1/sqrt(2) = {1 / np.sqrt(2):.9f})")
-    print(f"  fidelity {povm_fidelity(pz, px):.9f}")
+    print(f"  distance {povm_distance(pz, px).value:.9f}   (1/sqrt(2) = {1 / np.sqrt(2):.9f})")
+    print(f"  fidelity {povm_fidelity(pz, px).value:.9f}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ as one stack of all its Kraus operators.  Measures
 between measurements either feed a fixed entangled input through both
 (`dist_iso` / `fid_iso`) or search the input sphere for the worst case
 (`dist_max` / `fid_min`).  POVMs are compared through the ensemble of their
-normalized elements.
+normalized elements.  :func:`measure` is the one choice of solver by kind
+and method; the device measures return its :class:`SolveReport`, with the
+bracket and ``converged``, and the worst-case search scores inputs by it.
 
 The worst-case search is a multi-start ascent over pure inputs on ancilla ⊗
 system.  With ``method="kantorovich"`` the score at an input is one
@@ -38,7 +40,7 @@ from .ensembles import (
     merge_near_equal,
 )
 from .errors import DimMismatch, InvalidMeasurement, InvalidParams, InvalidPovm, InvalidState
-from .kantorovich import kantorovich_distance, kantorovich_fidelity
+from .kantorovich import SolveReport, kantorovich_distance, kantorovich_fidelity
 from .linalg import as_operator, mat_pinv_sqrt_psd, mat_sqrt_psd, partial_trace, spectral_map
 
 MEAS_TOL = 1e-8
@@ -322,16 +324,17 @@ def jamiolkowski_ensemble(m: GeneralizedMeasurement) -> Ensemble:
     return ens
 
 
-def _ensemble_measure(a: Ensemble, b: Ensemble, kind: str, method: str, opts):
-    """Ensemble distance or fidelity (``kind``) by the named method, and
-    whether its solve converged."""
+def measure(a, b, kind: str, method: str = "kantorovich", opts=None) -> SolveReport:
+    """Ensemble distance or fidelity (``kind``) by the named method, as the
+    solver's report; ``opts`` reaches the ``"ehs"`` solvers only.  Raises
+    InvalidParams for any other kind or method.  Each call looks the solver
+    up among this module's globals, so a wrapper set on one here sees it."""
+    if kind not in ("distance", "fidelity"):
+        raise InvalidParams(f"unknown kind {kind!r}")
     if method == "kantorovich":
-        measure = kantorovich_distance if kind == "distance" else kantorovich_fidelity
-        return measure(a, b)[0], True
+        return kantorovich_distance(a, b) if kind == "distance" else kantorovich_fidelity(a, b)
     if method == "ehs":
-        measure = ehs_distance if kind == "distance" else ehs_fidelity
-        report = measure(a, b, opts)
-        return report.value, report.converged
+        return ehs_distance(a, b, opts) if kind == "distance" else ehs_fidelity(a, b, opts)
     raise InvalidParams(f"unknown method {method!r}")
 
 
@@ -340,10 +343,10 @@ def _check_dims(x, y) -> None:
         raise DimMismatch(f"dims {x.dim} and {y.dim} differ")
 
 
-def _device_measure(x, y, to_ensemble, kind: str, method: str, opts) -> float:
+def _device_measure(x, y, to_ensemble, kind: str, method: str, opts) -> SolveReport:
     """Ensemble measure of the ensembles two devices give through ``to_ensemble``."""
     _check_dims(x, y)
-    return _ensemble_measure(to_ensemble(x), to_ensemble(y), kind, method, opts)[0]
+    return measure(to_ensemble(x), to_ensemble(y), kind, method, opts)
 
 
 def dist_iso(
@@ -351,7 +354,7 @@ def dist_iso(
     n: GeneralizedMeasurement,
     method: str = "kantorovich",
     opts: SolverOptions | None = None,
-) -> float:
+) -> SolveReport:
     """Ensemble distance between the Choi ensembles of two measurements."""
     return _device_measure(m, n, jamiolkowski_ensemble, "distance", method, opts)
 
@@ -361,7 +364,7 @@ def fid_iso(
     n: GeneralizedMeasurement,
     method: str = "kantorovich",
     opts: SolverOptions | None = None,
-) -> float:
+) -> SolveReport:
     """Ensemble fidelity between the Choi ensembles of two measurements."""
     return _device_measure(m, n, jamiolkowski_ensemble, "fidelity", method, opts)
 
@@ -594,7 +597,7 @@ class _InputScore:
         self.sign = 1.0 if kind == "distance" else -1.0
         self.evaluations = self.unconverged = 0
         if method == "kantorovich":
-            self._evaluate = self._with_duals
+            self._evaluate = self.solve
         else:
             self._evaluate = _difference_gradient(self.value)
 
@@ -613,19 +616,20 @@ class _InputScore:
         ens = (_outcome_ensemble(w[:k], post[:k]), _outcome_ensemble(w[k:], post[k:]))
         return psi, factors, ens
 
-    def value(self, x) -> float:
-        _, _, ens = self.outputs(x)
-        value, converged = _ensemble_measure(*ens, self.kind, self.method, self.opts)
-        self.unconverged += not converged
-        return self.sign * value
-
-    def _with_duals(self, x):
+    def solve(self, x):
+        """The score at ``x``, one :func:`measure` of the output ensembles
+        (:meth:`outputs`), and a function for its gradient by the optimal
+        coupling and potentials of that solve, which only a Kantorovich
+        solve has."""
         _, factors, ens = self.outputs(x)
-        measure = kantorovich_distance if self.kind == "distance" else kantorovich_fidelity
-        value, coupling = measure(*ens)
-        return self.sign * value, lambda: self.sign * _as_real(
-            _coupling_gradient(self.kind, factors, ens, coupling, self.stack)
+        report = measure(*ens, self.kind, self.method, self.opts)
+        self.unconverged += not report.converged
+        return self.sign * report.value, lambda: self.sign * _as_real(
+            _coupling_gradient(self.kind, factors, ens, report.plan, self.stack)
         )
+
+    def value(self, x) -> float:
+        return self.solve(x)[0]
 
 
 def _worst_case(m, n, kind: str, method: str, opts, wopts, ancilla_dim) -> WorstCase:
@@ -687,13 +691,13 @@ def povm_to_ensemble(p: Povm) -> Ensemble:
 
 def povm_distance(
     p: Povm, q: Povm, method: str = "kantorovich", opts: SolverOptions | None = None
-) -> float:
+) -> SolveReport:
     """Ensemble distance between the normalized-element ensembles."""
     return _device_measure(p, q, povm_to_ensemble, "distance", method, opts)
 
 
 def povm_fidelity(
     p: Povm, q: Povm, method: str = "kantorovich", opts: SolverOptions | None = None
-) -> float:
+) -> SolveReport:
     """Ensemble fidelity between the normalized-element ensembles."""
     return _device_measure(p, q, povm_to_ensemble, "fidelity", method, opts)

@@ -33,10 +33,11 @@ from .channels import (
     jamiolkowski_ensemble,
     make_measurement,
     make_povm,
+    measure,
     povm_to_ensemble,
     WorstCaseOptions,
 )
-from .ehs import SolverOptions, ehs_distance, ehs_fidelity
+from .ehs import SolverOptions
 from .ensembles import Ensemble, make_ensemble
 from .errors import (
     DimMismatch,
@@ -44,7 +45,6 @@ from .errors import (
     InvalidMeasurement,
     InvalidPovm,
 )
-from .kantorovich import coupling_lp
 
 FORMAT_VERSION = 1
 SEED_ENV = "ENSEMBLE_METRICS_SEED"
@@ -226,38 +226,23 @@ def _solver_options(args) -> SolverOptions:
 
 
 def _measure_report(a: Ensemble, b: Ensemble, kind: str, args, digests, measure_name=None):
-    """Shared dist/fid core; returns (report, exit code)."""
-    report = {"inputs": {"a": digests[0], "b": digests[1]}}
-    code = EXIT_OK
+    """Shared dist/fid core: write the report and return the exit code."""
+    rep = measure(a, b, kind, args.method, _solver_options(args))
+    report = {
+        "inputs": {"a": digests[0], "b": digests[1]},
+        "measure": measure_name or f"{args.method}_{kind}",
+        "value": _sig12(rep.value),
+        "solver": {"converged": rep.converged, "iterations": rep.iterations, "seed": args.seed},
+    }
     if args.method == "kantorovich":
-        sol = coupling_lp(a, b, kind)
-        report["measure"] = measure_name or f"kantorovich_{kind}"
-        report["value"] = _sig12(min(max(sol.value, 0.0), 1.0))
-        report["solver"] = {
-            "converged": True,
-            "iterations": sol.iterations,
-            "seed": args.seed,
-            "status": sol.status,
-        }
+        report["solver"]["status"] = rep.status
     else:
-        solve = ehs_distance if kind == "distance" else ehs_fidelity
-        rep = solve(a, b, _solver_options(args))
-        report["measure"] = measure_name or f"ehs_{kind}"
-        report["value"] = _sig12(rep.value)
         report["bracket"] = [_sig12(rep.bracket[0]), _sig12(rep.bracket[1])]
-        report["solver"] = {
-            "converged": rep.converged,
-            "iterations": rep.iterations,
-            "max_iter": args.max_iter,
-            "restarts": args.restarts,
-            "seed": args.seed,
-            "tol": args.tol,
-        }
-        if not rep.converged:
-            code = EXIT_NO_CONVERGENCE
+        report["solver"].update(max_iter=args.max_iter, restarts=args.restarts, tol=args.tol)
     if measure_name:
         report["method"] = args.method
-    return report, code
+    _emit(report)
+    return EXIT_OK if rep.converged else EXIT_NO_CONVERGENCE
 
 
 def _load_pair(paths, parse, noun: str):
@@ -272,9 +257,7 @@ def _load_pair(paths, parse, noun: str):
 
 def cmd_measure(args) -> int:
     a, b, digests = _load_pair((args.input_a, args.input_b), parse_ensemble, "ensembles")
-    report, code = _measure_report(a, b, args.kind, args, digests)
-    _emit(report)
-    return code
+    return _measure_report(a, b, args.kind, args, digests)
 
 
 def cmd_channel(args) -> int:
@@ -282,34 +265,33 @@ def cmd_channel(args) -> int:
     kind = KINDS[args.measure]
     if args.compare == "iso":
         ea, eb = jamiolkowski_ensemble(m), jamiolkowski_ensemble(n)
-        report, code = _measure_report(ea, eb, kind, args, digests, f"{args.measure}_iso")
-    else:
-        wopts = WorstCaseOptions(
-            restarts=args.worst_restarts, max_steps=args.worst_steps, seed=args.seed
-        )
-        name, search = ("dist_max", dist_max) if kind == "distance" else ("fid_min", fid_min)
-        found = search(m, n, args.method, _solver_options(args), wopts)
-        report = {
-            "inputs": {"a": digests[0], "b": digests[1]},
-            "measure": name,
-            "method": args.method,
-            "value": _sig12(found.value),
-            "state": [[_sig12(z.real), _sig12(z.imag)] for z in found.state],
-            "solver": {
-                # a local search: the value bounds the worst case from one side
-                "bound": "lower" if kind == "distance" else "upper",
-                "evaluations": found.evaluations,
-                "iterations": found.iterations,
-                "max_steps": args.worst_steps,
-                "restarts": args.worst_restarts,
-                "seed": args.seed,
-                "stationary_starts": found.stationary_starts,
-            },
-        }
-        # an unconverged solve may leave the value on the wrong side
-        code = EXIT_NO_CONVERGENCE if found.unconverged else EXIT_OK
-        if args.method == "ehs":
-            report["solver"]["unconverged"] = found.unconverged
+        return _measure_report(ea, eb, kind, args, digests, f"{args.measure}_iso")
+    wopts = WorstCaseOptions(
+        restarts=args.worst_restarts, max_steps=args.worst_steps, seed=args.seed
+    )
+    name, search = ("dist_max", dist_max) if kind == "distance" else ("fid_min", fid_min)
+    found = search(m, n, args.method, _solver_options(args), wopts)
+    report = {
+        "inputs": {"a": digests[0], "b": digests[1]},
+        "measure": name,
+        "method": args.method,
+        "value": _sig12(found.value),
+        "state": [[_sig12(z.real), _sig12(z.imag)] for z in found.state],
+        "solver": {
+            # a local search: the value bounds the worst case from one side
+            "bound": "lower" if kind == "distance" else "upper",
+            "evaluations": found.evaluations,
+            "iterations": found.iterations,
+            "max_steps": args.worst_steps,
+            "restarts": args.worst_restarts,
+            "seed": args.seed,
+            "stationary_starts": found.stationary_starts,
+        },
+    }
+    # an unconverged solve may leave the value on the wrong side
+    code = EXIT_NO_CONVERGENCE if found.unconverged else EXIT_OK
+    if args.method == "ehs":
+        report["solver"]["unconverged"] = found.unconverged
     _emit(report)
     return code
 
@@ -317,11 +299,9 @@ def cmd_channel(args) -> int:
 def cmd_povm(args) -> int:
     p, q, digests = _load_pair((args.input_p, args.input_q), parse_povm, "POVMs")
     kind = KINDS[args.measure]
-    report, code = _measure_report(
+    return _measure_report(
         povm_to_ensemble(p), povm_to_ensemble(q), kind, args, digests, f"povm_{kind}"
     )
-    _emit(report)
-    return code
 
 
 def cmd_selftest(args) -> int:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .ensembles import Ensemble, average_state, make_ensemble, pure_state, unify_support
 from .errors import InvalidParams, NotPure
-from .kantorovich import kantorovich_distance, transportation_lp
+from .kantorovich import SolveReport, kantorovich_distance, transportation_lp
 from .linalg import fidelity, mat_sqrt_psd, pairwise_matrix, spectral_map, trace_distance
 
 _PURITY_TOL = 1e-8
@@ -76,24 +76,6 @@ class JointPair:
 
     p_table: np.ndarray
     q_table: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class SolveReport:
-    """What an extended-space solve returned and what it did.
-
-    ``iterations`` counts the distance iterations of :func:`ehs_distance`,
-    or the fidelity ascent's sweeps summed over all its starts, so a
-    fidelity report can show more iterations than ``max_iter``, which caps
-    each start.  ``bracket`` is ``(lower, upper)``; ``converged`` is False
-    when the returned solve ran out of its iteration budget.
-    """
-
-    value: float
-    joint_pair: JointPair
-    iterations: int
-    bracket: tuple[float, float]
-    converged: bool
 
 
 def project_rows_to_simplex(x: np.ndarray, masses: np.ndarray) -> np.ndarray:
@@ -211,7 +193,7 @@ def ehs_distance(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) ->
     obj = _DistanceObjective(sp.omega, sp.p, sp.q)
     val, (ptab, qtab), iters, converged = _solve_distance(obj, coupling.table, opts, lower)
     value = float(min(max(val, 0.0), 1.0))
-    return SolveReport(value, JointPair(ptab, qtab), iters, (lower, dk), converged)
+    return SolveReport(value, JointPair(ptab, qtab), iters, (lower, dk), converged, "pdhg")
 
 
 def _rescale_rows(num: np.ndarray, masses: np.ndarray) -> np.ndarray:
@@ -241,7 +223,7 @@ def _bca(p: np.ndarray, q: np.ndarray, w: np.ndarray, opts: SolverOptions):
         return pt, qt
 
     starts = [
-        (lp.coupling.table.copy(), lp.coupling.table.copy()),
+        (lp.plan.table.copy(), lp.plan.table.copy()),
         (np.outer(p, q), np.outer(p, q)),
     ]
     starts += [random_tables() for _ in range(opts.restarts)]
@@ -285,7 +267,7 @@ def ehs_fidelity(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) ->
     w = pairwise_matrix(sp.omega, "fidelity")
     val, (pt, qt), sweeps, converged, fk = _bca(sp.p, sp.q, w, opts)
     value = float(min(max(val, 0.0), 1.0))
-    return SolveReport(value, JointPair(pt, qt), sweeps, (fk, upper), converged)
+    return SolveReport(value, JointPair(pt, qt), sweeps, (fk, upper), converged, "block-ascent")
 
 
 def ehs_bures(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) -> tuple[float, float]:
@@ -324,17 +306,20 @@ def uhlmann_pure_ensembles(rho: np.ndarray, sigma: np.ndarray):
     return ens_p, ens_q, overlap
 
 
-def pure_ensemble_fidelity(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) -> float:
+def pure_ensemble_fidelity(
+    a: Ensemble, b: Ensemble, opts: SolverOptions | None = None
+) -> SolveReport:
     """Pointer-embedding fidelity (:func:`ehs_fidelity`) of pure-state
-    ensembles, whose pairwise fidelity is the overlap ``|<psi|phi>|``.
+    ensembles, whose pairwise fidelity is the overlap ``|<psi|phi>|``, as
+    its report.
 
     Raises NotPure when any state has purity ``Tr rho²`` below ``1 - 1e-8``.
     """
     states = np.concatenate([a.states, b.states])
-    purity = min(float(np.real(np.trace(mat @ mat))) for mat in states)
+    purity = float(np.min(np.einsum("kij,kji->k", states, states).real))
     if purity < 1.0 - _PURITY_TOL:
         raise NotPure(f"state purity {purity} below {1 - _PURITY_TOL}")
-    return ehs_fidelity(a, b, opts).value
+    return ehs_fidelity(a, b, opts)
 
 
 def distance_objective(a: Ensemble, b: Ensemble) -> Callable:

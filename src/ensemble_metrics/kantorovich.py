@@ -6,7 +6,8 @@ and column sums.  It is solved exactly with the network simplex.  The basis
 is a spanning tree of the bipartite row / column graph, started from the
 northwest corner and kept strongly feasible, so pricing by the most negative
 reduced cost cannot cycle.  Potentials are updated on the re-hung subtree
-only, and recomputed from scratch before optimality is declared.
+only, and recomputed from scratch before optimality is declared; their dual
+objective, made feasible, and the value bracket the optimum.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .linalg import fidelity, pairwise_block, trace_distance
 
 _RC_TOL = 1e-12
 _PIVOT_CAP = 20000
+# the widest bracket of a transportation solve that counts as converged
+_GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,21 +45,45 @@ class Coupling:
 
 
 @dataclass(frozen=True, eq=False)
-class LpSolution:
+class SolveReport:
+    """What a solve returned and what it did; unpacks as ``(value, plan)``.
+
+    ``plan`` is the optimal :class:`Coupling` or extended-space
+    ``JointPair``; ``iterations`` counts simplex pivots, distance iterations
+    or fidelity sweeps summed over all starts (each capped by ``max_iter``).
+    ``bracket`` is ``(lower, upper)`` around ``value``: the primal and dual
+    objectives of a transportation solve, or the average-state measure and
+    the coupling value.  ``converged``: the transportation bracket is at
+    most 1e-9 wide, the distance certificate gap within ``tol``, or the
+    returned fidelity start stalled before its cap.  ``status`` says what
+    ran: the simplex's ``"optimal"`` or ``"degenerate-resolved"``,
+    ``"pdhg"`` or ``"block-ascent"``.
+    """
+
     value: float
-    coupling: Coupling
+    plan: object
     iterations: int
-    status: str  # "optimal" or "degenerate-resolved"
+    bracket: tuple[float, float]
+    converged: bool
+    status: str
+
+    def __iter__(self):
+        return iter((self.value, self.plan))
+
+    def __getitem__(self, k):
+        return (self.value, self.plan)[k]
 
 
 def transportation_lp(
     p: np.ndarray, q: np.ndarray, cost: np.ndarray, sense: str = "min"
-) -> LpSolution:
+) -> SolveReport:
     """Exact optimum of a transportation problem with marginals ``p`` and ``q``.
 
     Returns a basic feasible solution (a vertex of the transportation
     polytope) with its dual potentials, and the number of simplex pivots
-    taken.  Rows and columns with zero mass get zero potentials.
+    taken.  Rows and columns with zero mass get zero potentials.  The
+    bracket's other end is the dual objective of the potentials, with the
+    rows shifted by the exit test's least reduced cost to be feasible.
     ``status`` is ``"degenerate-resolved"`` when some pivot moved no flow;
     the strongly feasible basis keeps such pivots from cycling.
     """
@@ -81,7 +108,7 @@ def transportation_lp(
     c = cost[np.ix_(rows, cols)]
     if sense == "max":
         c = -c
-    sub, iterations, status, (u, v) = _simplex(p[rows], q[cols], c)
+    sub, iterations, status, (u, v, rc) = _simplex(p[rows], q[cols], c)
     table = np.zeros((len(p), len(q)))
     table[np.ix_(rows, cols)] = sub
     value = float(np.sum(table * cost))
@@ -89,7 +116,11 @@ def transportation_lp(
     sign = 1.0 if sense == "min" else -1.0
     row_duals, col_duals = np.zeros(len(p)), np.zeros(len(q))
     row_duals[rows], col_duals[cols] = sign * u, sign * v
-    return LpSolution(value, Coupling(table, row_duals, col_duals), iterations, status)
+    # the marginals sum to 1, so the shift moves the dual objective by rc
+    bound = float(row_duals @ p + col_duals @ q) + sign * min(rc, 0.0)
+    lo, hi = sorted((value, bound))
+    plan = Coupling(table, row_duals, col_duals)
+    return SolveReport(value, plan, iterations, (lo, hi), hi - lo <= _GAP_TOL, status)
 
 
 def _northwest_corner(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[float]]:
@@ -164,8 +195,9 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, watch=None):
 
     ``b`` is first scaled to the total of ``a`` unless the totals are
     equal bit for bit, so that no mass is left off the staircase.  Returns
-    the table, the pivot count, the status and the optimal potentials
-    ``(u, v)``, with ``u_i + v_j = cost_ij`` on every tree cell.
+    the table, the pivot count, the status and the dual ``(u, v, rc)``: the
+    optimal potentials, with ``u_i + v_j = cost_ij`` on every tree cell,
+    and the least reduced cost of the last exit test on them.
     """
     m, n = cost.shape
     total_a, total_b = a.sum(), b.sum()
@@ -257,44 +289,41 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, watch=None):
     for x in range(1, m + n):
         table[cell(x)] = flow[x]
     status = "degenerate-resolved" if degenerate else "optimal"
-    return table, iterations, status, (pot[:m], -pot[m:])
+    return table, iterations, status, (pot[:m], -pot[m:], rc)
 
 
-def coupling_lp(a: Ensemble, b: Ensemble, kind: str = "distance") -> LpSolution:
-    """Full transportation solution for an ensemble pair.
+def coupling_lp(a: Ensemble, b: Ensemble, kind: str = "distance") -> SolveReport:
+    """Transportation solve for an ensemble pair, as its report.
 
     ``kind`` picks the ground cost: pairwise trace distance (minimized) or
     pairwise fidelity (maximized).  Same-index diagonal entries are exact.
     The cost is evaluated only on the rows and columns with mass, the cells
     a coupling can use, and equals ``pairwise_matrix(omega, kind)`` there.
-    The coupling carries the unified support it is indexed by.
+    The value and the bracket are clipped to [0, 1], and the coupling
+    carries the unified support it is indexed by.
     """
     sp = unify_support(a, b)
     rows, cols = np.flatnonzero(sp.p > 0.0), np.flatnonzero(sp.q > 0.0)
     cost = np.zeros((len(sp.p), len(sp.q)))
     cost[np.ix_(rows, cols)] = pairwise_block(sp.omega, rows, cols, kind)
     sol = transportation_lp(sp.p, sp.q, cost, "min" if kind == "distance" else "max")
-    return replace(sol, coupling=replace(sol.coupling, support=sp))
+    value, lo, hi = (min(max(x, 0.0), 1.0) for x in (sol.value, *sol.bracket))
+    return replace(sol, value=value, plan=replace(sol.plan, support=sp), bracket=(lo, hi))
 
 
-def _coupling_value(a: Ensemble, b: Ensemble, kind: str) -> tuple[float, Coupling]:
-    sol = coupling_lp(a, b, kind)
-    return min(max(sol.value, 0.0), 1.0), sol.coupling
-
-
-def kantorovich_distance(a: Ensemble, b: Ensemble) -> tuple[float, Coupling]:
+def kantorovich_distance(a: Ensemble, b: Ensemble) -> SolveReport:
     """Minimal expected trace distance over couplings of two ensembles.
 
     Supports are unified first; the cost matrix is the pairwise trace
-    distance on the shared support.  Returns the value (in [0, 1]) and one
-    optimal coupling.
+    distance on the shared support.  Returns the :func:`coupling_lp`
+    report: the value (in [0, 1]) and one optimal coupling.
     """
-    return _coupling_value(a, b, "distance")
+    return coupling_lp(a, b, "distance")
 
 
-def kantorovich_fidelity(a: Ensemble, b: Ensemble) -> tuple[float, Coupling]:
+def kantorovich_fidelity(a: Ensemble, b: Ensemble) -> SolveReport:
     """Maximal expected fidelity over couplings of two ensembles."""
-    return _coupling_value(a, b, "fidelity")
+    return coupling_lp(a, b, "fidelity")
 
 
 def _check_flag_lists(ps, qs):

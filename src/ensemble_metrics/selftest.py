@@ -151,7 +151,7 @@ def check_uhlmann_overlap():
         ens_p, ens_q, overlap = uhlmann_pure_ensembles(rho, sigma)
         f = fidelity(rho, sigma)
         assert abs(overlap - f) <= 1e-9, f"seed={seed} d={d}: overlap {overlap} vs F {f}"
-        fe = pure_ensemble_fidelity(ens_p, ens_q)
+        fe = pure_ensemble_fidelity(ens_p, ens_q).value
         assert abs(fe - f) <= 1e-6, f"seed={seed} d={d}: pure-ensemble value {fe} vs F {f}"
 
 
@@ -191,10 +191,10 @@ def check_povm_basics():
     minus = np.array([1.0, -1.0]) / np.sqrt(2)
     pz = make_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     px = make_povm([np.outer(plus, plus), np.outer(minus, minus)])
-    dzx = povm_distance(pz, px)
+    dzx = povm_distance(pz, px).value
     assert abs(dzx - 1.0 / np.sqrt(2)) <= 1e-9, f"Z-vs-X POVM distance {dzx}"
-    assert povm_distance(pz, pz) == 0.0
-    assert povm_fidelity(pz, pz) == 1.0
+    assert povm_distance(pz, pz).value == 0.0
+    assert povm_fidelity(pz, pz).value == 1.0
 
 
 def check_helstrom_link():
@@ -215,7 +215,7 @@ def check_games():
         f"coupling game: 2e-1={2 * g.estimate - 1} dK={dk} band={band}"
     )
     rep = ehs_distance(a, b)
-    g = simulate_ehs_game(a, b, rep.joint_pair, trials=100000, seed=64)
+    g = simulate_ehs_game(a, b, rep.plan, trials=100000, seed=64)
     band = 3.0 * 2.0 * g.stderr + 1e-4
     assert abs(2.0 * g.estimate - 1.0 - rep.value) <= band, (
         f"embedding game: 2e-1={2 * g.estimate - 1} dEHS={rep.value} band={band}"
@@ -255,7 +255,7 @@ def check_worst_case_floor():
     x = projective_measurement(
         [np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2)]
     )
-    floor = dist_iso(z, x)
+    floor = dist_iso(z, x).value
     value, _ = dist_max(z, x, wopts=WorstCaseOptions(restarts=2, max_steps=20))
     assert value >= floor - 1e-6, f"worst case {value} below fixed-input value {floor}"
 

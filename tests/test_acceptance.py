@@ -230,11 +230,11 @@ def test_criterion_06_pure_decompositions_recover_uhlmann_fidelity():
         assert np.abs(average_state(a) - rho).max() <= 1e-9
         assert np.abs(average_state(b) - sig).max() <= 1e-9
         assert abs(overlap - f) <= 1e-9, f"k={k}"
-        assert abs(pure_ensemble_fidelity(a, b) - f) <= 1e-6, f"k={k}"
+        assert abs(pure_ensemble_fidelity(a, b).value - f) <= 1e-6, f"k={k}"
         for j in range(4):
             da = random_pure_decomposition(rho, d + 1, seed=660000 + 10 * k + j)
             db = random_pure_decomposition(sig, d + 1, seed=770000 + 10 * k + j)
-            assert pure_ensemble_fidelity(da, db) <= f + 1e-6, f"k={k} j={j}"
+            assert pure_ensemble_fidelity(da, db).value <= f + 1e-6, f"k={k} j={j}"
 
 
 def test_criterion_07_entropy_and_holevo_continuity():
@@ -260,7 +260,7 @@ def test_criterion_08_discrimination_games_replay_the_values():
         res = simulate_kantorovich_game(a, b, coupling, trials=100000, seed=80 + k)
         assert abs((2.0 * res.estimate - 1.0) - value) <= 3.0 * (2.0 * res.stderr), f"k={k}"
         report = ehs_distance(a, b)
-        res = simulate_ehs_game(a, b, report.joint_pair, trials=100000, seed=90 + k)
+        res = simulate_ehs_game(a, b, report.plan, trials=100000, seed=90 + k)
         assert abs((2.0 * res.estimate - 1.0) - report.value) <= 3.0 * (2.0 * res.stderr) + 1e-4
 
 
@@ -328,12 +328,12 @@ def test_criterion_11_measurement_and_povm_measures():
             (0.5, tensor(pure_state(minus), pure_state(minus))),
         ]
     )
-    assert abs(dist_iso(z, x) - kantorovich_distance(hand_z, hand_x)[0]) <= 1e-6
-    assert abs(fid_iso(z, x) - kantorovich_fidelity(hand_z, hand_x)[0]) <= 1e-6
+    assert abs(dist_iso(z, x).value - kantorovich_distance(hand_z, hand_x)[0]) <= 1e-6
+    assert abs(fid_iso(z, x).value - kantorovich_fidelity(hand_z, hand_x)[0]) <= 1e-6
 
     # the worst-case search dominates the fixed entangled input and is
     # stable under doubling the ancilla
-    floor = dist_iso(z, x)
+    floor = dist_iso(z, x).value
     v2, _ = dist_max(z, x, wopts=WorstCaseOptions(restarts=2, max_steps=25))
     assert v2 >= floor - 1e-6
     v4, _ = dist_max(z, x, wopts=WorstCaseOptions(restarts=1, max_steps=15), ancilla_dim=4)
@@ -341,8 +341,8 @@ def test_criterion_11_measurement_and_povm_measures():
 
     pz = make_povm([np.outer(E0, E0), np.outer(E1, E1)])
     px = make_povm([np.outer(plus, plus), np.outer(minus, minus)])
-    assert abs(povm_distance(pz, px) - S2) <= 1e-9
-    assert abs(povm_fidelity(pz, px) - S2) <= 1e-9
+    assert abs(povm_distance(pz, px).value - S2) <= 1e-9
+    assert abs(povm_fidelity(pz, px).value - S2) <= 1e-9
 
     # composition: distance between chained measurements is subadditive
     # when the second reference stage is unital
@@ -351,8 +351,8 @@ def test_criterion_11_measurement_and_povm_measures():
         n1 = projective_measurement(random_unitary(2, seed=11100 + k).T)
         m2 = random_measurement(2, 2, seed=11200 + k)
         n2 = random_measurement(2, 2, seed=11300 + k)
-        lhs = dist_iso(compose_measurements(m2, m1), compose_measurements(n2, n1), "ehs")
-        rhs = dist_iso(m2, n2, "ehs") + dist_iso(m1, n1, "ehs")
+        lhs = dist_iso(compose_measurements(m2, m1), compose_measurements(n2, n1), "ehs").value
+        rhs = dist_iso(m2, n2, "ehs").value + dist_iso(m1, n1, "ehs").value
         assert lhs <= rhs + 5e-4, f"k={k}"
 
 

@@ -558,15 +558,15 @@ def test_dist_iso_z_vs_x_matches_hand_built():
     )
     want_d = kantorovich_distance(hand_z, hand_x)[0]
     want_f = kantorovich_fidelity(hand_z, hand_x)[0]
-    assert abs(dist_iso(z, x) - want_d) <= 1e-6
-    assert abs(fid_iso(z, x) - want_f) <= 1e-6
-    assert abs(dist_iso(z, x) - np.sqrt(3.0) / 2.0) <= 1e-9
+    assert abs(dist_iso(z, x).value - want_d) <= 1e-6
+    assert abs(fid_iso(z, x).value - want_f) <= 1e-6
+    assert abs(dist_iso(z, x).value - np.sqrt(3.0) / 2.0) <= 1e-9
 
 
 def test_iso_identical_measurements():
     z = _z_meas()
-    assert dist_iso(z, z) <= 1e-9
-    assert fid_iso(z, z) >= 1.0 - 1e-9
+    assert dist_iso(z, z).value <= 1e-9
+    assert fid_iso(z, z).value >= 1.0 - 1e-9
 
 
 def test_iso_dim_mismatch():
@@ -580,7 +580,7 @@ def test_iso_dim_mismatch():
 
 def test_dist_max_dominates_entangled_input():
     z, x = _z_meas(), _x_meas()
-    floor = dist_iso(z, x)
+    floor = dist_iso(z, x).value
     wopts = WorstCaseOptions(restarts=2, max_steps=20)
     value, psi = dist_max(z, x, wopts=wopts)
     assert value >= floor - 1e-6
@@ -590,7 +590,7 @@ def test_dist_max_dominates_entangled_input():
 
 def test_fid_min_below_entangled_input():
     z, x = _z_meas(), _x_meas()
-    ceil = fid_iso(z, x)
+    ceil = fid_iso(z, x).value
     value, psi = fid_min(z, x, wopts=WorstCaseOptions(restarts=2, max_steps=20))
     assert value <= ceil + 1e-6
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-9
@@ -884,10 +884,12 @@ def test_warm_started_line_search_takes_the_cold_start_steps(search, monkeypatch
 
 def _direct_measure(kind, method):
     if method == "kantorovich":
-        measure = kantorovich_distance if kind == "distance" else kantorovich_fidelity
-        return lambda a, b: measure(a, b)[0]
-    measure = ehs_distance if kind == "distance" else ehs_fidelity
-    return lambda a, b: measure(a, b).value
+        return kantorovich_distance if kind == "distance" else kantorovich_fidelity
+    return ehs_distance if kind == "distance" else ehs_fidelity
+
+
+def _fields(report):
+    return report.value, report.iterations, report.bracket, report.converged, report.status
 
 
 @pytest.mark.parametrize("method", ["kantorovich", "ehs"])
@@ -901,8 +903,9 @@ def test_device_measures_equal_direct_ensemble_measure(kind, method):
         (dist_iso, povm_distance, dist_max) if kind == "distance" else (fid_iso, povm_fidelity, fid_min)
     )
     choi_z, choi_x = jamiolkowski_ensemble(z), jamiolkowski_ensemble(x)
-    assert iso(z, x, method) == direct(choi_z, choi_x)
-    assert povm(pz, px, method) == direct(povm_to_ensemble(pz), povm_to_ensemble(px))
+    assert _fields(iso(z, x, method)) == _fields(direct(choi_z, choi_x))
+    want = direct(povm_to_ensemble(pz), povm_to_ensemble(px))
+    assert _fields(povm(pz, px, method)) == _fields(want)
 
     value, psi = worst(z, x, method, wopts=WorstCaseOptions(restarts=0, max_steps=1))
     rho = np.outer(psi, psi.conj())
@@ -910,7 +913,40 @@ def test_device_measures_equal_direct_ensemble_measure(kind, method):
         make_measurement([(w, [np.kron(np.eye(2), k) for k in kraus]) for w, kraus in m.outcomes])
         for m in (z, x)
     ]
-    assert value == direct(apply_measurement(lifted[0], rho), apply_measurement(lifted[1], rho))
+    assert value == direct(apply_measurement(lifted[0], rho), apply_measurement(lifted[1], rho))[0]
+
+
+def test_device_measures_report_whether_the_ehs_solve_converged():
+    # with no iteration budget the distance of the Choi ensembles stays at
+    # its coupling start, above the converged value, and the report says so
+    m, n = random_measurement(2, 3, seed=1), random_measurement(2, 3, seed=51)
+    stopped = dist_iso(m, n, "ehs", SolverOptions(max_iter=0))
+    assert not stopped.converged
+    assert abs(stopped.value - 0.681894) <= 1e-6
+    done = dist_iso(m, n, "ehs")
+    assert done.converged
+    assert abs(done.value - 0.662271) <= 1e-6
+    assert done.bracket[0] <= done.value <= done.bracket[1]
+    assert not fid_iso(m, n, "ehs", SolverOptions(max_iter=0)).converged
+    pz = make_povm([np.outer(E0, E0), np.outer(E1, E1)])
+    px = make_povm([np.outer(PLUS_V, PLUS_V), np.outer(MINUS_V, MINUS_V)])
+    for device in (povm_distance, povm_fidelity):
+        assert not device(pz, px, "ehs", SolverOptions(max_iter=0)).converged
+        assert device(pz, px, "ehs").converged
+
+
+@pytest.mark.parametrize("method", ["kantorovich", "ehs"])
+def test_measure_rejects_an_unknown_kind(method):
+    a, b = jamiolkowski_ensemble(_z_meas()), jamiolkowski_ensemble(_x_meas())
+    with pytest.raises(InvalidParams, match="unknown kind 'Distance'"):
+        channels.measure(a, b, "Distance", method)
+
+
+@pytest.mark.parametrize("kind", ["distance", "fidelity"])
+def test_measure_rejects_an_unknown_method(kind):
+    a, b = jamiolkowski_ensemble(_z_meas()), jamiolkowski_ensemble(_x_meas())
+    with pytest.raises(InvalidParams, match="unknown method 'diamond'"):
+        channels.measure(a, b, kind, "diamond")
 
 
 def test_make_povm_validation():
@@ -957,10 +993,10 @@ def test_povm_to_ensemble_average():
 def test_povm_distance_z_vs_x():
     pz = make_povm([np.outer(E0, E0), np.outer(E1, E1)])
     px = make_povm([np.outer(PLUS_V, PLUS_V), np.outer(MINUS_V, MINUS_V)])
-    assert abs(povm_distance(pz, px) - 1.0 / np.sqrt(2)) <= 1e-9
-    assert povm_distance(pz, pz) <= 1e-12
-    assert povm_fidelity(pz, pz) >= 1.0 - 1e-12
-    f = povm_fidelity(pz, px)
+    assert abs(povm_distance(pz, px).value - 1.0 / np.sqrt(2)) <= 1e-9
+    assert povm_distance(pz, pz).value <= 1e-12
+    assert povm_fidelity(pz, pz).value >= 1.0 - 1e-12
+    f = povm_fidelity(pz, px).value
     assert 0.0 < f < 1.0
     with pytest.raises(DimMismatch):
         povm_distance(pz, make_povm([np.eye(3)]))
@@ -969,8 +1005,8 @@ def test_povm_distance_z_vs_x():
 def test_povm_measures_accept_ehs_method():
     pz = make_povm([np.outer(E0, E0), np.outer(E1, E1)])
     px = make_povm([np.outer(PLUS_V, PLUS_V), np.outer(MINUS_V, MINUS_V)])
-    d_ehs = povm_distance(pz, px, method="ehs")
-    d_lp = povm_distance(pz, px)
+    d_ehs = povm_distance(pz, px, method="ehs").value
+    d_lp = povm_distance(pz, px).value
     assert d_ehs <= d_lp + 1e-4
 
 
@@ -990,4 +1026,4 @@ def test_unitary_conjugation_preserves_iso_distance():
     u = random_unitary(2, seed=5)
     zu = make_measurement([(w, [u @ k for k in kraus]) for w, kraus in z.outcomes])
     xu = make_measurement([(w, [u @ k for k in kraus]) for w, kraus in x.outcomes])
-    assert abs(dist_iso(zu, xu) - dist_iso(z, x)) <= 1e-9
+    assert abs(dist_iso(zu, xu).value - dist_iso(z, x).value) <= 1e-9

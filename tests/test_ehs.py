@@ -27,7 +27,7 @@ from ensemble_metrics.channels import WorstCaseOptions
 from ensemble_metrics.errors import InvalidParams, NotPure
 from ensemble_metrics.kantorovich import (
     Coupling,
-    LpSolution,
+    SolveReport,
     kantorovich_distance,
     kantorovich_fidelity,
 )
@@ -126,7 +126,7 @@ def test_distance_report_contract():
     assert rep.converged
     assert rep.iterations >= 1
     sp = unify_support(a, b)
-    tp, tq = rep.joint_pair.p_table, rep.joint_pair.q_table
+    tp, tq = rep.plan.p_table, rep.plan.q_table
     assert tp.min() >= -1e-12 and tq.min() >= -1e-12
     assert np.abs(tp.sum(axis=1) - sp.p).max() <= 1e-9
     assert np.abs(tq.sum(axis=0) - sp.q).max() <= 1e-9
@@ -166,7 +166,8 @@ def test_fidelity_ascent_reports_the_start_it_returns(monkeypatch):
     # once, lower; the returned value is the unfinished product start's.
     p = q = np.array([0.5, 0.5])
     w = np.array([[1.0, 0.999], [0.999, 1.0]])
-    off = LpSolution(0.999, Coupling(np.array([[0.0, 0.5], [0.5, 0.0]])), 0, "optimal")
+    table = np.array([[0.0, 0.5], [0.5, 0.0]])
+    off = SolveReport(0.999, Coupling(table), 0, (0.999, 0.999), True, "optimal")
     monkeypatch.setattr(ehs, "transportation_lp", lambda *args: off)
     val, _, sweeps, converged, _ = ehs._bca(p, q, w, SolverOptions(max_iter=2000, restarts=0))
     assert sweeps == 1 + 2000
@@ -250,8 +251,28 @@ def test_pure_ensemble_fidelity_achieves_state_fidelity():
     rho = random_density(2, seed=71)
     sigma = random_density(2, seed=72)
     ens_p, ens_q, _ = uhlmann_pure_ensembles(rho, sigma)
-    got = pure_ensemble_fidelity(ens_p, ens_q)
+    got = pure_ensemble_fidelity(ens_p, ens_q).value
     assert abs(got - fidelity(rho, sigma)) <= 1e-6
+
+
+def test_pure_ensemble_fidelity_reports_the_fidelity_solve():
+    rho, sigma = random_density(3, seed=73), random_density(3, seed=74)
+    ens_p, ens_q, _ = uhlmann_pure_ensembles(rho, sigma)
+    got = pure_ensemble_fidelity(ens_p, ens_q)
+    want = ehs_fidelity(ens_p, ens_q)
+    assert isinstance(got, SolveReport)
+    assert (got.value, got.bracket, got.converged) == (want.value, want.bracket, want.converged)
+    assert got.bracket[0] <= got.value <= got.bracket[1]
+
+
+def test_pure_ensemble_fidelity_keeps_its_purity_threshold():
+    # purity (1 - e)² + e² is about 1 - 2e: inside 1e-8 at e = 1e-9, not at 1e-8
+    def nearly_pure(e):
+        return make_ensemble([(1.0, np.diag([1.0 - e, e]))])
+
+    pure_ensemble_fidelity(nearly_pure(1e-9), nearly_pure(1e-9))
+    with pytest.raises(NotPure, match="below"):
+        pure_ensemble_fidelity(nearly_pure(1e-8), nearly_pure(0.0))
 
 
 def test_pure_ensemble_fidelity_rejects_mixed():

@@ -164,7 +164,7 @@ def test_coupling_cost_equals_the_kernel_on_the_support(kind, monkeypatch):
         sb = [sa[i] for i in shared] + sb
         a = make_ensemble(list(zip(rng.dirichlet(np.ones(6)), sa)))
         b = make_ensemble(list(zip(rng.dirichlet(np.ones(len(sb))), sb)))
-        sp = kantorovich.coupling_lp(a, b, kind).coupling.support
+        sp = kantorovich.coupling_lp(a, b, kind).plan.support
         assert len(sp.omega) == 11
         rows, cols = np.flatnonzero(sp.p > 0.0), np.flatnonzero(sp.q > 0.0)
         assert list(cols[: len(shared)]) == shared

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ensemble_metrics import kantorovich
 from ensemble_metrics.ensembles import make_ensemble, pure_state, unify_support
 from ensemble_metrics.errors import LengthMismatch, OutOfRange
 from ensemble_metrics.kantorovich import (
@@ -16,7 +17,13 @@ from ensemble_metrics.kantorovich import (
     kantorovich_fidelity,
     transportation_lp,
 )
-from ensemble_metrics.linalg import fidelity, tensor, trace_distance, von_neumann_entropy
+from ensemble_metrics.linalg import (
+    fidelity,
+    pairwise_matrix,
+    tensor,
+    trace_distance,
+    von_neumann_entropy,
+)
 from ensemble_metrics.oracle import lp_vertex_oracle, random_density, random_ensemble
 
 KET0 = pure_state(np.array([1.0, 0.0]))
@@ -31,8 +38,60 @@ def _basis_density(d, k):
 def test_transportation_lp_single_cell():
     sol = transportation_lp(np.array([1.0]), np.array([1.0]), np.array([[0.3]]))
     assert sol.value == 0.3
-    assert sol.coupling.table[0, 0] == 1.0
+    assert sol.plan.table[0, 0] == 1.0
     assert sol.status in ("optimal", "degenerate-resolved")
+
+
+@pytest.mark.parametrize("kind", ["distance", "fidelity"])
+def test_coupling_report_carries_the_simplex_certificate(kind):
+    # the bracket is the value and the dual objective of the potentials made
+    # feasible; the brute-force optimum over vertices sits inside it
+    solve = kantorovich_distance if kind == "distance" else kantorovich_fidelity
+    rng = np.random.default_rng(43)
+    checked = 0
+    for trial in range(40):
+        d, na, nb = int(rng.integers(2, 5)), int(rng.integers(3, 7)), int(rng.integers(3, 7))
+        a = random_ensemble(d, na, seed=4300 + trial)
+        b = random_ensemble(d, nb, seed=4400 + trial)
+        rep = solve(a, b)
+        lo, hi = rep.bracket
+        assert lo <= rep.value <= hi, trial
+        assert hi - lo <= 1e-9, trial
+        assert rep.converged, trial
+        assert rep.iterations == coupling_lp(a, b, kind).iterations, trial
+        sp = rep.plan.support
+        rows, cols = np.flatnonzero(sp.p > 0.0), np.flatnonzero(sp.q > 0.0)
+        if max(len(rows), len(cols)) > 4:
+            continue  # enumerating the vertices of a 5×5 problem takes seconds
+        cost = pairwise_matrix(sp.omega, kind)[np.ix_(rows, cols)]
+        sense = "min" if kind == "distance" else "max"
+        brute = lp_vertex_oracle(sp.p[rows], sp.q[cols], cost, sense)
+        assert lo - 1e-12 <= brute <= hi + 1e-12, trial
+        checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_transportation_bracket_holds_the_optimum_when_the_simplex_stops_early(
+    monkeypatch, sense
+):
+    # with the exit test loosened the simplex stops at a vertex that need not
+    # be optimal; the potentials, shifted by the least reduced cost, still
+    # bound the optimum from the other side, and the report says the gap is open
+    monkeypatch.setattr(kantorovich, "_RC_TOL", 0.3)
+    rng = np.random.default_rng(47)
+    opened = 0
+    for trial in range(30):
+        m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        p, q = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+        cost = rng.random((m, n))
+        rep = transportation_lp(p, q, cost, sense)
+        lo, hi = rep.bracket
+        assert lo <= rep.value <= hi, trial
+        assert lo - 1e-12 <= lp_vertex_oracle(p, q, cost, sense) <= hi + 1e-12, trial
+        assert rep.converged == (hi - lo <= 1e-9), trial
+        opened += not rep.converged
+    assert opened >= 5
 
 
 def test_transportation_lp_known_instance():
@@ -41,7 +100,7 @@ def test_transportation_lp_known_instance():
     cost = np.array([[0.0, 1.0], [1.0, 0.0]])
     sol = transportation_lp(p, q, cost, "min")
     assert abs(sol.value) <= 1e-15
-    assert np.allclose(sol.coupling.table, np.diag([0.5, 0.5]))
+    assert np.allclose(sol.plan.table, np.diag([0.5, 0.5]))
     sol = transportation_lp(p, q, cost, "max")
     assert abs(sol.value - 1.0) <= 1e-15
 
@@ -53,7 +112,7 @@ def test_transportation_lp_coupling_is_feasible():
         p = rng.dirichlet(np.ones(m))
         q = rng.dirichlet(np.ones(n))
         cost = rng.random((m, n))
-        table = transportation_lp(p, q, cost).coupling.table
+        table = transportation_lp(p, q, cost).plan.table
         assert table.min() >= -1e-12
         assert np.abs(table.sum(axis=1) - p).max() <= 1e-12
         assert np.abs(table.sum(axis=0) - q).max() <= 1e-12
@@ -88,7 +147,7 @@ def test_transportation_lp_zero_mass_rows():
     cost = np.array([[5.0, 1.0, 7.0], [2.0, 9.0, 4.0]])
     sol = transportation_lp(p, q, cost, "min")
     assert abs(sol.value - 3.0) <= 1e-12
-    assert np.allclose(sol.coupling.table[0], 0.0)
+    assert np.allclose(sol.plan.table[0], 0.0)
 
 
 def test_transportation_lp_input_validation():
@@ -289,7 +348,7 @@ def test_transportation_lp_matches_vertex_oracle_on_ties(make):
         p, q, cost = make(rng, m, n)
         for sense in ("min", "max"):
             sol = transportation_lp(p, q, cost, sense)
-            table = sol.coupling.table
+            table = sol.plan.table
             assert abs(sol.value - lp_vertex_oracle(p, q, cost, sense)) <= 1e-12, (trial, sense)
             assert table.min() >= 0.0
             assert np.abs(table.sum(axis=1) - p).max() <= 1e-12
@@ -341,9 +400,9 @@ def test_duals_certify_the_optimum_on_ties(make):
         p, q, cost = make(rng, m, n)
         for sense, side in (("min", 1.0), ("max", -1.0)):
             sol = transportation_lp(p, q, cost, sense)
-            u, w = sol.coupling.row_duals, sol.coupling.col_duals
+            u, w = sol.plan.row_duals, sol.plan.col_duals
             reduced = cost - u[:, None] - w[None, :]
-            flow = sol.coupling.table > 0.0
+            flow = sol.plan.table > 0.0
             assert np.abs(reduced[flow]).max() <= 1e-12, (trial, sense)
             assert (side * reduced).min() >= -1e-12, (trial, sense)
             assert abs(u @ p + w @ q - lp_vertex_oracle(p, q, cost, sense)) <= 1e-12, (trial, sense)
@@ -355,7 +414,7 @@ def test_duals_of_zero_mass_rows_and_columns_are_zero():
     cost = np.arange(9, dtype=float).reshape(3, 3)
     for sense in ("min", "max"):
         sol = transportation_lp(p, q, cost, sense)
-        u, w = sol.coupling.row_duals, sol.coupling.col_duals
+        u, w = sol.plan.row_duals, sol.plan.col_duals
         assert u[0] == 0.0 and w[1] == 0.0
         assert abs(u @ p + w @ q - sol.value) <= 1e-12
 
@@ -374,7 +433,7 @@ def test_unequal_marginal_totals_keep_every_mass(p, q, cost):
     # columns are scaled to the rows' total, so no mass is left off
     p, q, cost = np.array(p), np.array(q), np.array(cost)
     scaled = q * (p.sum() / q.sum())
-    table = transportation_lp(p, q, cost).coupling.table
+    table = transportation_lp(p, q, cost).plan.table
     assert np.abs(table.sum(axis=1) - p).max() <= 1e-15
     assert np.abs(table.sum(axis=0) - scaled).max() <= 1e-15
     assert _zero_flow_cells_point_to_root(*_northwest_corner(p, scaled), len(p))

@@ -124,7 +124,7 @@ def test_ehs_game_tracks_embedding_distance():
     a = random_ensemble(2, 2, seed=41)
     b = random_ensemble(2, 2, seed=42)
     report = ehs_distance(a, b)
-    res = simulate_ehs_game(a, b, report.joint_pair, trials=40000, seed=3)
+    res = simulate_ehs_game(a, b, report.plan, trials=40000, seed=3)
     assert abs((2.0 * res.estimate - 1.0) - report.value) <= 3.0 * (2.0 * res.stderr) + 1e-4
 
 
@@ -136,7 +136,7 @@ def test_ehs_game_rejects_bad_tables():
         simulate_ehs_game(a, b, JointPair(np.ones((3, 3)), np.ones((3, 3))), trials=10)
     report = ehs_distance(a, b)
     with pytest.raises(InvalidParams):
-        simulate_ehs_game(a, b, report.joint_pair, trials=-5)
+        simulate_ehs_game(a, b, report.plan, trials=-5)
 
 
 def _uniform_product_point(a, b):

@@ -87,11 +87,15 @@ def test_traced_score_evaluations_equal_the_reported_count():
 
 # Per-layer metrics that one request of each command feeds: a change that
 # calls around a traced name fails here instead of zeroing a benchmark layer.
+# Every command takes its ensemble measure through channels.measure, so one
+# dist or fid request counts one score evaluation.
 LAYER_CASES = [
     (["dist", "rand_a.json", "rand_b.json"],
      {"ensembles.make_ensemble_calls": 2, "ensembles.unify_support_calls": 1,
-      "kantorovich.coupling_lp_calls": 1, "kantorovich.transportation_lp_calls": 1}, ()),
-    (["fid", "bell.json", "prods.json", "--method", "ehs"], {}, ("ehs.fidelity_sweeps",)),
+      "kantorovich.coupling_lp_calls": 1, "kantorovich.transportation_lp_calls": 1,
+      "channels.score_evaluations": 1}, ()),
+    (["fid", "bell.json", "prods.json", "--method", "ehs"], {"channels.score_evaluations": 1},
+     ("ehs.fidelity_sweeps",)),
     (["channel", "measz.json", "measx.json"], {"channels.make_measurement_calls": 2},
      ("channels.device_to_ensemble_ms",)),
     (["povm", "povmz.json", "povmx.json", "--measure", "fid"],
