@@ -250,7 +250,9 @@ def _post_states(m: GeneralizedMeasurement, factors: np.ndarray) -> np.ndarray:
     """Each outcome's unnormalized post-state ``Σ_j Y_j Y_j†``, given one
     factor ``Y_j`` per Kraus operator, stacked as ``m.kraus`` is.
     ``np.add.at`` adds the rows in stack order, so each outcome's sum runs
-    in Kraus-list order.
+    in Kraus-list order; where every outcome has one row, its sum is that
+    row's term, added to zero as ``np.add.at`` adds it (``-0.0`` becomes
+    ``+0.0``).
 
     ``K_j B`` with ``B B† = ρ`` gives ``Σ_j K_j ρ K_j†``.  A sum of ``Y Y†``
     products is Hermitian and positive semidefinite up to rounding relative
@@ -259,21 +261,32 @@ def _post_states(m: GeneralizedMeasurement, factors: np.ndarray) -> np.ndarray:
     is of rounding size, as long as it is a normal float.
     """
     terms = factors @ factors.conj().swapaxes(1, 2)
+    if len(terms) == len(m):  # rows and outcomes are one to one, in order
+        return np.add(terms, 0.0, out=terms)
     post = np.zeros((len(m),) + terms.shape[1:], dtype=complex)
     np.add.at(post, m.owner, terms)
     return post
 
 
-def _outcome_ensemble(weights: np.ndarray, post: np.ndarray) -> Ensemble:
+def _outcome_ensembles(weights: np.ndarray, post: np.ndarray, *splits: int) -> list[Ensemble]:
     """The ensemble of outcome probabilities ``w Tr`` and post-states
-    ``post / Tr``: zero-probability outcomes are dropped (a subnormal trace,
-    rounded on an absolute grid, counts as zero), near-equal states merge,
-    and ``index`` gives, for each outcome, the state it went into, or -1.
-    The states are not re-validated (see :func:`_post_states`)."""
+    ``post / Tr`` of each run of outcomes that ``splits`` cuts out, in
+    order: zero-probability outcomes are dropped (a subnormal trace,
+    rounded on an absolute grid, counts as zero), near-equal states merge
+    within a run, and ``index`` gives, for each outcome of the run, the
+    state it went into, or -1.  The traces and the division are taken over
+    all runs at once.  The states are not re-validated (see
+    :func:`_post_states`)."""
     tr = np.trace(post, axis1=1, axis2=2).real
     probs = weights * tr
     taken = np.flatnonzero((probs > 0.0) & (tr >= np.finfo(float).tiny))
-    return _assemble(post[taken] / tr[taken, None, None], probs[taken], taken, len(weights))
+    states = post[taken] / tr[taken, None, None]
+    ends = (0, *splits, len(weights))
+    cuts = np.searchsorted(taken, ends)
+    return [
+        _assemble(states[lo:hi], probs[taken[lo:hi]], taken[lo:hi] - start, stop - start)
+        for start, stop, lo, hi in zip(ends, ends[1:], cuts, cuts[1:])
+    ]
 
 
 def _choi_states(m: GeneralizedMeasurement) -> np.ndarray:
@@ -296,7 +309,7 @@ def apply_measurement(m: GeneralizedMeasurement, rho: np.ndarray) -> Ensemble:
     rho = check_density(rho)
     if rho.shape[0] != m.dim:
         raise DimMismatch(f"state dim {rho.shape[0]}, measurement dim {m.dim}")
-    return _outcome_ensemble(m.weights, _post_states(m, m.kraus @ mat_sqrt_psd(rho)))
+    return _outcome_ensembles(m.weights, _post_states(m, m.kraus @ mat_sqrt_psd(rho)))[0]
 
 
 def _lifted(m: GeneralizedMeasurement, a_dim: int) -> GeneralizedMeasurement:
@@ -317,7 +330,7 @@ def jamiolkowski_ensemble(m: GeneralizedMeasurement) -> Ensemble:
     :func:`apply_measurement`, zero-probability outcomes are dropped.
     """
     d = m.dim
-    ens = _outcome_ensemble(m.weights, _choi_states(m))
+    ens = _outcome_ensembles(m.weights, _choi_states(m))[0]
     marg = partial_trace(average_state(ens), (d, d), "A")
     if float(np.linalg.norm(marg - np.eye(d) / d)) > MARGINAL_TOL:
         raise InvalidMeasurement("average Choi state has a skewed untouched marginal")
@@ -500,22 +513,22 @@ def _difference_gradient(score):
     return evaluate
 
 
-def _cost_gradients(kind: str, omega, u, v) -> tuple[np.ndarray, np.ndarray]:
+def _cost_gradients(kind: str, omega, u, v, roots) -> tuple[np.ndarray, np.ndarray]:
     """The gradients of the ground costs of the support cells
     ``(u[k], v[k])`` with respect to ``omega[u[k]]`` and ``omega[v[k]]``,
     as two stacks.
 
     Distance ``½‖ω_u − ω_v‖₁``: ``±½ S`` with ``S`` the sign matrix of
     ``ω_u − ω_v``.  Fidelity: ``∂F/∂ρ = ½ √σ (√σ ρ √σ)^{+½} √σ``, and
-    symmetrically for ``σ``.
+    symmetrically for ``σ``, from ``roots``, the :func:`mat_sqrt_psd` of
+    every state of ``omega``, which the distance does not read.
     """
     omega = np.asarray(omega)
     if kind == "distance":
         signs = 0.5 * spectral_map(omega[u] - omega[v], np.sign)[1]
         return signs, -signs
-    # one root per state with flow; row k < len(u) is the gradient for omega[u[k]]
-    used, at = np.unique(np.concatenate([v, u]), return_inverse=True)
-    r = mat_sqrt_psd(omega[used])[at]
+    # row k < len(u) is the gradient for omega[u[k]]
+    r = roots[np.concatenate([v, u])]
     grads = 0.5 * r @ mat_pinv_sqrt_psd(r @ np.concatenate([omega[u], omega[v]]) @ r) @ r
     return grads[: len(u)], grads[len(u) :]
 
@@ -540,27 +553,27 @@ def _coupling_gradient(kind: str, factors, outputs, coupling, stack) -> np.ndarr
     """
     support, table = coupling.support, coupling.table
     omega = support.omega
-    u, v = np.nonzero(table > 0.0)
+    u, v = (table > 0.0).nonzero()
     off = u != v
     u, v = u[off], v[off]
-    gu, gv = _cost_gradients(kind, omega, u, v)
+    gu, gv = _cost_gradients(kind, omega, u, v, support.roots if kind == "fidelity" else None)
+    flow = table[u, v, None, None]
     a = np.zeros(omega.shape, dtype=complex)
-    np.add.at(a, u, table[u, v, None, None] * gu)
-    np.add.at(a, v, table[u, v, None, None] * gv)
+    np.add.at(a, np.concatenate([u, v]), np.concatenate([flow * gu, flow * gv]))
 
     # the outcomes of both measurements, then their Kraus rows
     first, second = outputs
     index = np.concatenate([first.index, second.index])
-    kept = np.flatnonzero(index >= 0)
+    kept = (index >= 0).nonzero()[0]
     side = (kept >= len(first.index)).astype(int)
     s = support.index[index[kept] + side * first.size]
     weights, owner = stack.weights, stack.owner
-    t = np.bincount(owner, np.sum(np.abs(factors) ** 2, axis=1), len(weights))
+    t = np.bincount(owner, (np.abs(factors) ** 2).sum(axis=1), len(weights))
 
     dim = factors.shape[1]
     eye = np.eye(dim)
     m = np.zeros((len(weights), dim, dim), dtype=complex)
-    duals = np.stack([coupling.row_duals, coupling.col_duals])[side, s]
+    duals = np.concatenate([coupling.row_duals, coupling.col_duals])[side * len(omega) + s]
     m[kept] = (duals * weights[kept])[:, None, None] * eye
     states, at = np.unique(s, return_index=True)
     moved = kept[at]
@@ -612,8 +625,7 @@ class _InputScore:
         psi = _unit(_as_complex(x))
         factors = self.stack.kraus @ psi
         post = _post_states(self.stack, factors[:, :, None])
-        w, k = self.stack.weights, self.split
-        ens = (_outcome_ensemble(w[:k], post[:k]), _outcome_ensemble(w[k:], post[k:]))
+        ens = _outcome_ensembles(self.stack.weights, post, self.split)
         return psi, factors, ens
 
     def solve(self, x):

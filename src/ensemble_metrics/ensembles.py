@@ -8,7 +8,7 @@ agree up to 1e-9 are merged on construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import (
     PointerReuse,
     WeightMismatch,
 )
-from .linalg import as_operator, pair_values, von_neumann_entropy
+from .linalg import as_operator, mat_sqrt_psd, pair_values, von_neumann_entropy
 
 PROB_TOL = 1e-8
 DISTINCT_TOL = 1e-9
@@ -123,19 +123,23 @@ def _near_pairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The candidates are the pairs whose Hermitian parts project on one fixed
     unit direction within ``_WINDOW`` of each other (no pair within 1e-9 is
-    left out), which one sort finds.  They take the exact trace distance,
-    computed lower index first as :func:`pairwise_matrix` does.
+    left out), which one sort finds; there are none when no two neighbours
+    in the sorted order are.  They take the exact trace distance, computed
+    lower index first as :func:`pairwise_matrix` does.
     """
     n = len(stack)
     herm = (stack + stack.conj().swapaxes(1, 2)) / 2.0
     v = herm.reshape(n, -1).view(float)
     shadow = v @ _window_direction(v.shape[1])
-    order = np.argsort(shadow, kind="stable")
-    reach = np.searchsorted(shadow[order], shadow[order] + _WINDOW, side="right")
+    order = shadow.argsort(kind="stable")
+    ranked = shadow[order]
+    limit = ranked + _WINDOW
+    if not (ranked[1:] <= limit[:-1]).any():  # no two states within reach
+        none = np.empty(0, dtype=int)
+        return none, none
+    reach = np.searchsorted(ranked, limit, side="right")
     counts = reach - np.arange(1, n + 1)  # the sorted positions after each one in reach
     a = np.repeat(np.arange(n), counts)
-    if not len(a):  # no two states within reach
-        return a, a
     b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(counts) - counts, counts)
     first, second = np.sort(np.stack([order[a], order[b]]), axis=0)
     near = pair_values(stack, first, second, "distance") <= DISTINCT_TOL
@@ -231,7 +235,7 @@ def _assemble(stack: np.ndarray, probs, taken, count: int) -> Ensemble:
         raise InvalidState(f"probabilities sum to {total}, expected 1")
     index = np.full(count, -1)
     index[taken] = into
-    return Ensemble(stack[kept], merged / total, index)
+    return Ensemble(stack if len(kept) == len(stack) else stack[kept], merged / total, index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,6 +248,12 @@ class SupportPair:
     p: np.ndarray
     q: np.ndarray
     index: np.ndarray
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """:func:`mat_sqrt_psd` of every state of ``omega``, computed once
+        for the fidelity costs and their gradients."""
+        return mat_sqrt_psd(self.omega)
 
 
 def unify_support(a: Ensemble, b: Ensemble) -> SupportPair:
@@ -259,7 +269,8 @@ def unify_support(a: Ensemble, b: Ensemble) -> SupportPair:
     weights = np.zeros((len(states), 2))
     weights[: a.size, 0], weights[a.size :, 1] = a.probs, b.probs
     kept, pq, index = merge_near_equal(states, weights)
-    return SupportPair(states[kept], pq[:, 0], pq[:, 1], index)
+    omega = states if len(kept) == len(states) else states[kept]
+    return SupportPair(omega, pq[:, 0], pq[:, 1], index)
 
 
 def average_state(e: Ensemble) -> np.ndarray:

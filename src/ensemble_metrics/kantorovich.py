@@ -12,7 +12,7 @@ objective, made feasible, and the value bracket the optimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,8 +56,8 @@ class SolveReport:
     the coupling value.  ``converged``: the transportation bracket is at
     most 1e-9 wide, the distance certificate gap within ``tol``, or the
     returned fidelity start stalled before its cap.  ``status`` says what
-    ran: the simplex's ``"optimal"`` or ``"degenerate-resolved"``,
-    ``"pdhg"`` or ``"block-ascent"``.
+    ran: the simplex's ``"optimal"``, ``"degenerate-resolved"`` or
+    ``"pivot-cap"``, ``"pdhg"`` or ``"block-ascent"``.
     """
 
     value: float
@@ -85,33 +85,40 @@ def transportation_lp(
     bracket's other end is the dual objective of the potentials, with the
     rows shifted by the exit test's least reduced cost to be feasible.
     ``status`` is ``"degenerate-resolved"`` when some pivot moved no flow;
-    the strongly feasible basis keeps such pivots from cycling.
+    the strongly feasible basis keeps such pivots from cycling.  It is
+    ``"pivot-cap"`` when the simplex stopped at its cap of 20000 pivots
+    short of optimal: the table is then a feasible vertex and the bracket,
+    still holding the optimum, is open.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     cost = np.asarray(cost, dtype=float)
     if cost.shape != (len(p), len(q)):
         raise LengthMismatch(f"cost shape {cost.shape} vs marginals {(len(p), len(q))}")
-    if not np.all(np.isfinite(cost)):
+    if not np.isfinite(cost).all():
         raise ValueError("cost entries must be finite")
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+    # a sum is finite only when every term is
+    total_p, total_q = p.sum(), q.sum()
+    if not (np.isfinite(total_p) and np.isfinite(total_q)) and not (
+        np.isfinite(p).all() and np.isfinite(q).all()
+    ):
         raise ValueError("marginals must be finite")
-    if np.any(p < -1e-12) or np.any(q < -1e-12):
+    if p.min(initial=0.0) < -1e-12 or q.min(initial=0.0) < -1e-12:
         raise ValueError("marginals must be nonnegative")
-    if abs(p.sum() - 1.0) > 1e-8 or abs(q.sum() - 1.0) > 1e-8:
+    if abs(total_p - 1.0) > 1e-8 or abs(total_q - 1.0) > 1e-8:
         raise ValueError("marginals must each sum to 1")
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
 
-    rows = np.flatnonzero(p > 0.0)
-    cols = np.flatnonzero(q > 0.0)
-    c = cost[np.ix_(rows, cols)]
+    rows = (p > 0.0).nonzero()[0]
+    cols = (q > 0.0).nonzero()[0]
+    c = cost[rows[:, None], cols]
     if sense == "max":
         c = -c
     sub, iterations, status, (u, v, rc) = _simplex(p[rows], q[cols], c)
     table = np.zeros((len(p), len(q)))
-    table[np.ix_(rows, cols)] = sub
-    value = float(np.sum(table * cost))
+    table[rows[:, None], cols] = sub
+    value = float((table * cost).sum())
     # the potentials of the negated cost flip sign for a maximum
     sign = 1.0 if sense == "min" else -1.0
     row_duals, col_duals = np.zeros(len(p)), np.zeros(len(q))
@@ -137,14 +144,14 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[flo
     m, n = len(a), len(b)
     parent = [-1] * (m + n)
     flow = [0.0] * (m + n)
-    ai = a.astype(float).copy()
-    bj = b.astype(float).copy()
+    ai = np.asarray(a, dtype=float).tolist()
+    bj = np.asarray(b, dtype=float).tolist()
     i = j = 0
     parent[m] = 0
     node = m
     while True:
         t = min(ai[i], bj[j])
-        flow[node] = float(t)
+        flow[node] = t
         ai[i] -= t
         bj[j] -= t
         if i == m - 1 and j == n - 1:
@@ -191,7 +198,9 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, watch=None):
     any entering rule: Cunningham, "A network simplex method", Math.
     Programming 11 (1976); Ahuja, Magnanti and Orlin, *Network Flows*
     (1993), §11.5.  ``watch``, if given, sees ``(parent, flow)`` after
-    every pivot.
+    every pivot; without it a table of at most two rows and two columns
+    is solved by :func:`_two_by_two`.  After ``_PIVOT_CAP`` pivots the
+    current tree is returned, with its fresh potentials.
 
     ``b`` is first scaled to the total of ``a`` unless the totals are
     equal bit for bit, so that no mass is left off the staircase.  Returns
@@ -203,6 +212,10 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, watch=None):
     total_a, total_b = a.sum(), b.sum()
     if total_a != total_b:
         b = b * (total_a / total_b)
+    if watch is None and m <= 2 and n <= 2:
+        solved = _two_by_two(a, b, cost)
+        if solved is not None:
+            return solved
     parent, flow = _northwest_corner(a, b)
     children: list[list[int]] = [[] for _ in range(m + n)]
     for x in range(1, m + n):
@@ -228,15 +241,13 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, watch=None):
         reduced[basic] = 0.0
         enter = int(np.argmin(reduced))
         rc = float(reduced.flat[enter])
-        if rc >= -_RC_TOL:
+        if rc >= -_RC_TOL or iterations == _PIVOT_CAP:
             if fresh:
                 break
             # rerun the test on potentials free of incremental drift
             pot = _potentials(cost, parent, _subtree(0, children))
             fresh = True
             continue
-        if iterations == _PIVOT_CAP:
-            raise RuntimeError("transportation simplex exceeded its pivot cap")
         # Climb from both ends of the entering cell to the apex.  Flow runs
         # from row k into column l and back to k through the tree, so it
         # shrinks the cells that hang a row on k's side and a column on l's.
@@ -288,8 +299,81 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, watch=None):
     table = np.zeros((m, n))
     for x in range(1, m + n):
         table[cell(x)] = flow[x]
-    status = "degenerate-resolved" if degenerate else "optimal"
-    return table, iterations, status, (pot[:m], -pot[m:], rc)
+    return table, iterations, _status(rc, degenerate), (pot[:m], -pot[m:], rc)
+
+
+def _status(rc: float, degenerate: bool) -> str:
+    """The simplex's status from the least reduced cost of its last test."""
+    if rc < -_RC_TOL:
+        return "pivot-cap"
+    return "degenerate-resolved" if degenerate else "optimal"
+
+
+def _prices(c: list, cells: list) -> tuple[list, list, float]:
+    """The potentials :func:`_potentials` gives the tree of ``cells``,
+    listed so that each joins one new node to row 0's side (the row ones
+    ``u`` and the column ones ``w``, which are ``-v``), and the least reduced
+    cost of :func:`_simplex`'s exit test on them, from the cost as nested
+    lists."""
+    m, n = len(c), len(c[0])
+    u, w = [0.0] + [None] * (m - 1), [None] * n
+    for i, j in cells:
+        if w[j] is None:
+            w[j] = u[i] - c[i][j]
+        else:
+            u[i] = c[i][j] + w[j]
+    reduced = [
+        0.0 if (i, j) in cells else (c[i][j] - u[i]) + w[j] for i in range(m) for j in range(n)
+    ]
+    return u, w, min(reduced)
+
+
+def _two_by_two(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
+    """:func:`_simplex`'s result, bit for bit, on at most two rows and two
+    columns, in closed form; None when the simplex would pivot more than
+    once, which exact arithmetic rules out, or not at all for its cap.
+
+    The northwest-corner tree holds every cell but at most one, off the
+    diagonal.  If that cell enters, the cycle runs through all four cells
+    and the diagonal ones lose flow; the one with the least flow leaves,
+    cell (0, 0) on a tie, as the simplex's ratio test picks it.  The cell
+    that left prices at minus the entering reduced cost, so the simplex's
+    next test, on potentials shifted over the re-hung subtree, and its
+    fresh one both pass.
+    """
+    m, n = cost.shape
+    c = cost.tolist()
+    parent, flow = _northwest_corner(a, b)
+    basis = {(x, parent[x] - m) if x < m else (parent[x], x - m): flow[x] for x in range(1, m + n)}
+    u, w, rc = _prices(c, sorted(basis, key=sum))  # the staircase, corner first
+    iterations = 0
+    degenerate = False
+    if rc < -_RC_TOL:
+        if (m, n) != (2, 2) or _PIVOT_CAP < 1:
+            return None
+        enter = (0, 1) if (1, 0) in basis else (1, 0)
+        theta = min(basis[1, 1], basis[0, 0])
+        leave = (0, 0) if basis[0, 0] == theta else (1, 1)
+        other = (enter[1], enter[0])
+        i, j = leave
+        if enter == (1, 0) and leave == (1, 1):  # row 1 re-hangs alone
+            test = (c[1][1] - (u[1] + rc)) + w[1]
+        else:  # the leaving cell's column re-hangs
+            test = (c[i][j] - u[i]) + (w[j] - rc)
+        basis = {
+            enter: theta,
+            other: basis[other] + theta,
+            (0, 0): basis[0, 0] - theta,
+            (1, 1): basis[1, 1] - theta,
+        }
+        del basis[leave]
+        tree = [(0, 1), (1, 1), (1, 0)] if leave == (0, 0) else [(0, 0), (0, 1), (1, 0)]
+        u, w, rc = _prices(c, tree)
+        if test < -_RC_TOL or rc < -_RC_TOL:
+            return None
+        iterations, degenerate = 1, theta == 0.0
+    table = np.array([[basis.get((i, j), 0.0) for j in range(n)] for i in range(m)])
+    return table, iterations, _status(rc, degenerate), (np.array(u), -np.array(w), rc)
 
 
 def coupling_lp(a: Ensemble, b: Ensemble, kind: str = "distance") -> SolveReport:
@@ -303,12 +387,14 @@ def coupling_lp(a: Ensemble, b: Ensemble, kind: str = "distance") -> SolveReport
     carries the unified support it is indexed by.
     """
     sp = unify_support(a, b)
-    rows, cols = np.flatnonzero(sp.p > 0.0), np.flatnonzero(sp.q > 0.0)
+    rows, cols = (sp.p > 0.0).nonzero()[0], (sp.q > 0.0).nonzero()[0]
     cost = np.zeros((len(sp.p), len(sp.q)))
-    cost[np.ix_(rows, cols)] = pairwise_block(sp.omega, rows, cols, kind)
+    roots = sp.roots if kind == "fidelity" else None
+    cost[rows[:, None], cols] = pairwise_block(sp.omega, rows, cols, kind, roots)
     sol = transportation_lp(sp.p, sp.q, cost, "min" if kind == "distance" else "max")
     value, lo, hi = (min(max(x, 0.0), 1.0) for x in (sol.value, *sol.bracket))
-    return replace(sol, value=value, plan=replace(sol.plan, support=sp), bracket=(lo, hi))
+    plan = Coupling(sol.plan.table, sol.plan.row_duals, sol.plan.col_duals, sp)
+    return SolveReport(value, plan, sol.iterations, (lo, hi), sol.converged, sol.status)
 
 
 def kantorovich_distance(a: Ensemble, b: Ensemble) -> SolveReport:

@@ -32,7 +32,7 @@ def _as_stack(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -41,7 +41,7 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
     """:func:`_as_stack`, raising NotHermitian when some ``max|a - a†|``
     exceeds 1e-10."""
     a = _as_stack(a)
-    err = float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)), initial=0.0))
+    err = float(np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0))
     if err > HERM_TOL:
         raise NotHermitian(f"max|a - a†| = {err:.3e}")
     return a
@@ -110,9 +110,9 @@ def spectral_map(blocks: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
 
 def _psd_cut(w: np.ndarray, fill: float = 0.0) -> np.ndarray:
     """Ascending PSD eigenvalues; those :func:`mat_sqrt_psd` zeroes become ``fill``."""
-    if float(np.min(w, initial=0.0)) < PSD_TOL:
+    if float(w.min(initial=0.0)) < PSD_TOL:
         raise NotPSD(f"minimum eigenvalue {np.min(w):.3e}")
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
     return np.where(w <= 1e-14 * w[..., -1:], fill, w)
 
 
@@ -157,7 +157,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 _PAIR_BLOCK = 64
 
 
-def pair_values(states: Sequence[np.ndarray], first, second, kind: str) -> np.ndarray:
+def pair_values(states: Sequence[np.ndarray], first, second, kind: str, roots=None) -> np.ndarray:
     """:func:`trace_distance` (``kind="distance"``) or :func:`fidelity` of
     ``states[first[k]]`` and ``states[second[k]]``, in that order, for each
     ``k``, over validated states.
@@ -165,14 +165,19 @@ def pair_values(states: Sequence[np.ndarray], first, second, kind: str) -> np.nd
     Entries equal the per-pair functions bit for bit.  Pairs go through one
     batched ``eigvalsh`` or ``svd`` per block of at most 64, and each block
     stacks only its own pairs; the fidelity roots the states that some pair
-    reads in one stacked :func:`mat_sqrt_psd` call.
+    reads in one stacked :func:`mat_sqrt_psd` call, unless ``roots`` gives
+    that call's result for every state already.
     """
     first = np.asarray(first, dtype=int)
     second = np.asarray(second, dtype=int)
     if kind not in ("distance", "fidelity"):
         raise OutOfRange(f"unknown kind {kind!r}")
-    stack = np.array(states, dtype=complex)
-    if kind == "fidelity":
+    if kind == "distance":
+        stack = np.asarray(states, dtype=complex)
+    elif roots is not None:
+        stack = np.asarray(roots)
+    else:
+        stack = np.array(states, dtype=complex)
         used = np.zeros(len(states), dtype=bool)
         used[first] = used[second] = True
         if used.any():
@@ -197,18 +202,27 @@ def pairwise_matrix(states: Sequence[np.ndarray], kind: str) -> np.ndarray:
     return pairwise_block(states, range(len(states)), range(len(states)), kind)
 
 
-def pairwise_block(states: Sequence[np.ndarray], rows, cols, kind: str) -> np.ndarray:
+def pairwise_block(states: Sequence[np.ndarray], rows, cols, kind: str, roots=None) -> np.ndarray:
     """The ``rows × cols`` block of ``pairwise_matrix(states, kind)``, bit
     for bit, evaluating only the pairs the block holds, each unordered pair
-    once and with the lower index first."""
+    once and with the lower index first; ``roots`` goes to
+    :func:`pair_values`.  When no state is both a row and a column, every
+    cell is a pair of its own and goes to :func:`pair_values` as it is."""
     if kind not in ("distance", "fidelity"):
         raise OutOfRange(f"unknown kind {kind!r}")
-    r, c = np.meshgrid(np.asarray(rows, dtype=int), np.asarray(cols, dtype=int), indexing="ij")
+    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    is_row = np.zeros(len(states), dtype=bool)
+    is_row[rows] = True
+    if not is_row[cols].any():
+        r, c = rows[:, None], cols[None, :]
+        lo, hi = np.minimum(r, c).ravel(), np.maximum(r, c).ravel()
+        return pair_values(states, lo, hi, kind, roots).reshape(len(rows), len(cols))
+    r, c = np.meshgrid(rows, cols, indexing="ij")
     lo, hi = np.minimum(r, c), np.maximum(r, c)
     off = lo != hi
     pairs, where = np.unique(lo[off] * len(states) + hi[off], return_inverse=True)
     out = np.full(r.shape, 0.0 if kind == "distance" else 1.0)
-    out[off] = pair_values(states, pairs // len(states), pairs % len(states), kind)[where]
+    out[off] = pair_values(states, pairs // len(states), pairs % len(states), kind, roots)[where]
     return out
 
 

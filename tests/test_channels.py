@@ -719,7 +719,8 @@ def _per_outcome_gradient(kind, psi, outputs, coupling, measurements):
     cells = [(u, v) for u, v in zip(*np.nonzero(flow > 0.0)) if u != v]
     cost_grad = {}
     u, v = np.array(cells, dtype=int).reshape(-1, 2).T
-    for (a, b), gu, gv in zip(cells, *_cost_gradients(kind, omega, u, v)):
+    roots = support.roots if kind == "fidelity" else None
+    for (a, b), gu, gv in zip(cells, *_cost_gradients(kind, omega, u, v, roots)):
         cost_grad[a] = cost_grad.get(a, 0.0) + flow[a, b] * gu
         cost_grad[b] = cost_grad.get(b, 0.0) + flow[a, b] * gv
 
@@ -792,7 +793,8 @@ def test_stacked_fidelity_cost_gradients_equal_the_per_cell_formula(d):
         omega = [random_density(d, int(r), seed=int(rng.integers(2**31))) for r in ranks]
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
         cells = [pairs[k] for k in rng.permutation(len(pairs))[: int(rng.integers(1, len(pairs)))]]
-        got_u, got_v = _cost_gradients("fidelity", omega, *np.transpose(cells))
+        roots = mat_sqrt_psd(np.asarray(omega))
+        got_u, got_v = _cost_gradients("fidelity", omega, *np.transpose(cells), roots)
         want = _per_cell_fidelity_gradients(omega, cells)
         assert len(got_u) == len(got_v) == len(want)
         for gu, gv, (wu, wv) in zip(got_u, got_v, want):

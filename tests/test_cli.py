@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ensemble_metrics import kantorovich
 from ensemble_metrics.channels import Povm
 from ensemble_metrics.cli import (
     SEED_ENV,
@@ -26,6 +27,7 @@ from ensemble_metrics.cli import (
     parse_povm,
     povm_to_json,
 )
+from ensemble_metrics.oracle import random_ensemble
 
 from console_script import run_console_script
 
@@ -107,6 +109,37 @@ def test_ehs_worst_case_exits_4_when_a_solve_did_not_converge(max_iter, code, ca
     solver = json.loads(capsys.readouterr().out)["solver"]
     assert solver["unconverged"] == (solver["evaluations"] if code else 0)
     assert solver["evaluations"] > 0
+
+
+def test_dist_at_the_pivot_cap_exits_4_with_its_report(tmp_path, capsys, monkeypatch):
+    # a solve stopped by the simplex's pivot cap reports its open bracket and
+    # exits 4; nothing reaches stderr, so no traceback either
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    monkeypatch.setattr(kantorovich, "_PIVOT_CAP", 2)
+    paths = []
+    for seed in (73, 74):
+        path = tmp_path / f"ens{seed}.json"
+        path.write_text(json.dumps(ensemble_to_json(random_ensemble(4, 16, seed=seed))))
+        paths.append(str(path))
+    assert main(["dist", *paths]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    solver = json.loads(captured.out)["solver"]
+    assert solver == {"converged": False, "iterations": 2, "seed": 0, "status": "pivot-cap"}
+
+
+@pytest.mark.parametrize("measure", ["dist", "fid"])
+def test_worst_case_counts_a_capped_solve_and_exits_4(measure, capsys, monkeypatch):
+    # with no pivot allowed, an evaluation whose corner tree is not optimal
+    # stops short of it; the search counts it and the exit code says so
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    monkeypatch.setattr(kantorovich, "_PIVOT_CAP", 0)
+    argv = ["channel", "measz.json", "measx.json", "--compare", "worst", "--measure", measure,
+            "--worst-restarts", "1", "--worst-steps", "2"]
+    assert main(_expand(argv)) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["solver"]["evaluations"] > 0
 
 
 def test_fixtures_regenerate_byte_for_byte(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ensemble_metrics import kantorovich
+from ensemble_metrics import ensembles, kantorovich
 from ensemble_metrics.channels import make_measurement
 from ensemble_metrics.ensembles import (
     DISTINCT_TOL,
@@ -27,7 +27,7 @@ from ensemble_metrics.errors import (
     WeightMismatch,
 )
 from ensemble_metrics.kantorovich import transportation_lp
-from ensemble_metrics.linalg import pairwise_matrix, partial_trace, trace_distance
+from ensemble_metrics.linalg import pair_values, pairwise_matrix, partial_trace, trace_distance
 from ensemble_metrics.oracle import random_density
 
 KET0 = pure_state(np.array([1.0, 0.0]))
@@ -248,6 +248,44 @@ def test_no_near_pair_leaves_every_state_and_weight_in_place(d):
         assert kept == list(range(len(states)))
         assert np.array_equal(sums, np.asarray(weights))
         assert index.tolist() == list(range(len(states))) and index.dtype.kind == "i"
+
+
+def _all_near_pairs(stack):
+    """Every pair ``i < j`` of a stack within DISTINCT_TOL, by the exact
+    trace distance of all pairs, as sorted ``(i, j)`` tuples."""
+    first, second = np.triu_indices(len(stack), 1)
+    near = pair_values(stack, first, second, "distance") <= DISTINCT_TOL
+    return sorted(zip(first[near].tolist(), second[near].tolist()))
+
+
+def test_near_pair_screen_finds_every_pair_the_full_search_finds(monkeypatch):
+    rng = np.random.default_rng(9)
+    stacks = []
+    for d in (2, 4):
+        for _ in range(6):
+            base = [random_density(d, d, seed=int(rng.integers(1 << 30))) for _ in range(4)]
+            planted = [_shifted(base[int(rng.integers(4))], t, rng) for t in (0.5e-9, 2e-9)]
+            states = base + planted
+            stacks.append(np.asarray([states[k] for k in rng.permutation(len(states))]))
+            stacks.append(np.asarray(base))  # nothing near: the screen stops after its sort
+    found = 0
+    for stack in stacks:
+        first, second = _near_pairs(stack)
+        assert sorted(zip(first.tolist(), second.tolist())) == _all_near_pairs(stack)
+        found += len(first)
+    assert found == 12  # each 0.5e-9 copy, and no 2e-9 copy
+    # projections exactly one window apart, as the screen compares them: on
+    # the direction that reads entry (0, 0), diagonal states at x and at
+    # x + window, rounded as the screen rounds it, then a pair 0.5e-9 apart
+    monkeypatch.setattr(ensembles, "_window_direction", lambda length: np.eye(length)[0])
+    window = ensembles._WINDOW
+    for x in (0.25, 0.3, 0.7):
+        diag = [x, x + window, x + window + 0.5e-9]
+        stack = np.asarray([np.diag([t, 1.0 - t]).astype(complex) for t in diag])
+        for states in (stack[:2], stack):
+            first, second = _near_pairs(states)
+            assert sorted(zip(first.tolist(), second.tolist())) == _all_near_pairs(states)
+        assert _all_near_pairs(stack[:2]) == [] and _all_near_pairs(stack) == [(1, 2)]
 
 
 def _nonherm(d):

@@ -443,3 +443,105 @@ def test_unequal_marginal_totals_keep_every_mass(p, q, cost):
     )
     assert np.abs(table.sum(axis=0) - scaled).max() <= 1e-15
     assert len(trees) == iterations >= len(p) - 1 and all(trees)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _small_tables():
+    """``(p, q, cost)`` with at most two rows and two columns of mass:
+    random and tied costs, marginals equal exactly (the Z and X outputs at
+    the entangled input), totals that differ by rounding, a zero-flow cell
+    on the diagonal, zero-mass rows and columns around the mass, and the
+    1×1, 1×2 and 2×1 shapes."""
+    rng = np.random.default_rng(67)
+    cases = []
+    for m, n in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        for _ in range(40):
+            p, q = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+            cases.append((p, q, rng.random((m, n))))
+            cases.append((p, q, rng.integers(0, 2, size=(m, n)).astype(float)))
+    for _ in range(40):
+        x = float(rng.random())
+        p = np.array([x, 1.0 - x])
+        cases.append((p, p.copy(), rng.random((2, 2))))
+        cases.append((p, p.copy(), np.array([[0.0, 1.0], [1.0, 0.0]]) * rng.random()))
+    half, swap = np.array([0.5, 0.5]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    cases.append((half, half.copy(), swap))
+    cases.append((half, np.array([0.5, 0.5 + 4e-9]), 1.0 - swap))
+    # a column whose mass vanishes beside 1.0 leaves a zero-flow diagonal cell
+    cases.append((half, np.array([1.0, 1e-17]), 1.0 - swap))
+    cases.append((np.array([0.0, 0.3, 0.7]), np.array([0.6, 0.0, 0.4]), rng.random((3, 3))))
+    return cases
+
+
+def test_two_by_two_closed_form_equals_the_simplex_bit_for_bit(monkeypatch):
+    reports = []
+    for p, q, cost in _small_tables():
+        for sense in ("min", "max"):
+            reports.append(transportation_lp(p, q, cost, sense))
+    # the reference: the same solves with the closed form turned off
+    monkeypatch.setattr(kantorovich, "_two_by_two", lambda a, b, cost: None)
+    statuses = set()
+    for (p, q, cost), pair in zip(_small_tables(), zip(reports[::2], reports[1::2])):
+        for sense, got in zip(("min", "max"), pair):
+            want = transportation_lp(p, q, cost, sense)
+            assert _bits(got.plan.table) == _bits(want.plan.table)
+            assert _bits(got.plan.row_duals) == _bits(want.plan.row_duals)
+            assert _bits(got.plan.col_duals) == _bits(want.plan.col_duals)
+            assert _bits([got.value, *got.bracket]) == _bits([want.value, *want.bracket])
+            assert (got.iterations, got.status, got.converged) == (
+                want.iterations, want.status, want.converged
+            )
+            statuses.add((got.iterations, got.status))
+    # no pivot, a pivot that moves flow and a pivot that moves none all occur
+    assert statuses == {(0, "optimal"), (1, "optimal"), (1, "degenerate-resolved")}
+
+
+def test_two_by_two_closed_form_equals_the_simplex_on_its_outputs():
+    # the least reduced cost and the potentials come back as _simplex gives
+    # them; a watch sends _simplex down its general path
+    for p, q, cost in _small_tables():
+        rows, cols = np.flatnonzero(p > 0.0), np.flatnonzero(q > 0.0)
+        a, b, c = p[rows], q[cols], cost[np.ix_(rows, cols)]
+        for sign in (1.0, -1.0):
+            got = _simplex(a, b, sign * c)
+            want = _simplex(a, b, sign * c, lambda parent, flow: None)
+            assert _bits(got[0]) == _bits(want[0])
+            assert got[1:3] == want[1:3]
+            assert all(_bits(x) == _bits(y) for x, y in zip(got[3], want[3]))
+
+
+def test_pivot_cap_returns_a_vertex_whose_bracket_holds_the_optimum(monkeypatch):
+    rng = np.random.default_rng(71)
+    monkeypatch.setattr(kantorovich, "_PIVOT_CAP", 2)
+    for sense in ("min", "max"):
+        capped = 0
+        for _ in range(10):
+            p, q = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
+            cost = rng.random((4, 4))
+            rep = transportation_lp(p, q, cost, sense)
+            lo, hi = rep.bracket
+            assert lo - 1e-12 <= lp_vertex_oracle(p, q, cost, sense) <= hi + 1e-12
+            assert rep.iterations <= 2
+            table = rep.plan.table
+            assert table.min() >= 0.0 and np.abs(table.sum(axis=1) - p).max() <= 1e-12
+            if rep.status == "pivot-cap":
+                capped += 1
+                assert rep.iterations == 2 and not rep.converged
+        assert capped >= 5
+
+
+def test_pivot_cap_on_a_16x16_pair_brackets_the_full_solve(monkeypatch):
+    a, b = random_ensemble(4, 16, seed=73), random_ensemble(4, 16, seed=74)
+    for kind in ("distance", "fidelity"):
+        full = coupling_lp(a, b, kind)
+        assert full.converged and full.status != "pivot-cap"
+        with monkeypatch.context() as patch:
+            patch.setattr(kantorovich, "_PIVOT_CAP", 2)
+            rep = coupling_lp(a, b, kind)
+        assert (rep.status, rep.iterations, rep.converged) == ("pivot-cap", 2, False)
+        lo, hi = rep.bracket
+        assert lo - 1e-12 <= full.value <= hi + 1e-12
+        assert lo <= rep.value <= hi

@@ -163,6 +163,14 @@ def test_blocked_kernels_equal_the_per_row_formula_bit_for_bit(kind, d):
     assert np.array_equal(block, ref[np.ix_(rows, cols)])
     big = pairwise_block(states, np.arange(14), np.arange(14)[::-1], kind)
     assert np.array_equal(big, ref[:, ::-1])
+    # rows and columns with no state in common: every cell is its own pair,
+    # read lower index first either way round; given roots give the same
+    a, b = np.arange(9), np.arange(9, 14)
+    roots = mat_sqrt_psd(np.asarray(states)) if kind == "fidelity" else None
+    for rows, cols in ((a, b), (b, a), (b[::-1], a[::2])):
+        want = ref[np.ix_(rows, cols)]
+        assert np.array_equal(pairwise_block(states, rows, cols, kind), want)
+        assert np.array_equal(pairwise_block(states, rows, cols, kind, roots), want)
     first, second = np.triu_indices(14, 1)
     assert np.array_equal(pair_values(states, first, second, kind), ref[first, second])
     with pytest.raises(OutOfRange):

@@ -75,14 +75,18 @@ def _traced(argv):
 
 def test_traced_score_evaluations_equal_the_reported_count():
     # the per-layer count channels.score_evaluations reads the same searches
-    # as the report's solver.evaluations, for either measure
+    # as the report's solver.evaluations, for either measure, and each
+    # evaluation passes once through every traced layer under it
+    layers = ("channels.score_evaluations", "ensembles.unify_support_calls",
+              "kantorovich.coupling_lp_calls", "kantorovich.transportation_lp_calls")
     for measure in ("dist", "fid"):
         report, metrics = _traced(["channel", "measz.json", "measx.json", "--compare", "worst",
                                    "--measure", measure, "--worst-restarts", "1",
                                    "--worst-steps", "3"])
         reported = report["solver"]["evaluations"]
         assert reported > 0, measure
-        assert metrics["channels.score_evaluations"][0] == reported, measure
+        for name in layers:
+            assert metrics[name][0] == reported, (measure, name)
 
 
 # Per-layer metrics that one request of each command feeds: a change that
