@@ -27,7 +27,7 @@ import numpy as np
 
 from .ensembles import Ensemble, average_state, make_ensemble, pure_state, unify_support
 from .errors import InvalidParams, NotPure
-from .kantorovich import SolveReport, kantorovich_distance, transportation_lp
+from .kantorovich import SolveReport, kantorovich_distance, kantorovich_fidelity
 from .linalg import fidelity, mat_sqrt_psd, pairwise_matrix, spectral_map, trace_distance
 
 _PURITY_TOL = 1e-8
@@ -42,7 +42,8 @@ class SolverOptions:
     of the fidelity solver; ``restarts`` counts the random initializations
     of the fidelity solver (the product and warm-start initializations
     always run).  Raises InvalidParams unless ``tol`` is finite and
-    positive and every count and ``seed`` is an integer >= 0.
+    positive (a bool is not) and every count and ``seed`` is an integer
+    >= 0.
     """
 
     tol: float = 1e-4
@@ -51,8 +52,9 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.tol, Real) or not 0.0 < self.tol < np.inf:
-            raise InvalidParams(f"tol must be a finite number > 0, got {self.tol!r}")
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, Real) or not 0.0 < tol < np.inf:
+            raise InvalidParams(f"tol must be a finite number > 0, got {tol!r}")
         check_counts(self, "max_iter", "restarts", "seed")
 
 
@@ -204,16 +206,17 @@ def _rescale_rows(num: np.ndarray, masses: np.ndarray) -> np.ndarray:
     return np.where(rs > 0.0, spread, masses[:, None] / num.shape[1])
 
 
-def _bca(p: np.ndarray, q: np.ndarray, w: np.ndarray, opts: SolverOptions):
-    """Block coordinate ascent for ``max sum sqrt(P_e Q_e) w_e``.
+def _bca(p: np.ndarray, q: np.ndarray, w: np.ndarray, table: np.ndarray, opts: SolverOptions):
+    """Block coordinate ascent for ``max sum sqrt(P_e Q_e) w_e``, started
+    from ``(table, table)``, then from the product tables and from
+    ``opts.restarts`` random ones.
 
     For fixed Q the optimal P-row is proportional to ``Q w²`` (Cauchy-Schwarz)
     and symmetrically for Q-columns, so each half-sweep is an exact block
-    maximum and the objective never decreases.
+    maximum and the objective never decreases.  ``w`` is read only on the
+    rows of ``p`` and the columns of ``q`` with mass.
     """
     n = len(p)
-    lp = transportation_lp(p, q, w, "max")
-    fk = lp.value
     w2 = w * w
     rng = np.random.default_rng(opts.seed)
 
@@ -222,10 +225,7 @@ def _bca(p: np.ndarray, q: np.ndarray, w: np.ndarray, opts: SolverOptions):
         qt = project_rows_to_simplex(rng.random((n, n)).T, q).T
         return pt, qt
 
-    starts = [
-        (lp.plan.table.copy(), lp.plan.table.copy()),
-        (np.outer(p, q), np.outer(p, q)),
-    ]
+    starts = [(table.copy(), table.copy()), (np.outer(p, q), np.outer(p, q))]
     starts += [random_tables() for _ in range(opts.restarts)]
 
     def value_of(pt, qt):
@@ -250,31 +250,36 @@ def _bca(p: np.ndarray, q: np.ndarray, w: np.ndarray, opts: SolverOptions):
             val = new_val
         if val > best_val:
             best_val, best, converged = val, (pt, qt), stalled
-    return best_val, best, total_sweeps, converged, fk
+    return best_val, best, total_sweeps, converged
 
 
 def ehs_fidelity(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) -> SolveReport:
     """Maximal fidelity between pointer embeddings of two ensembles.
 
     Maximizes ``sum sqrt(P(rho,sigma) Q(rho,sigma)) F(rho,sigma)`` under the
-    same marginal constraints as :func:`ehs_distance`.  The value lies
-    between the coupling fidelity (lower bound, also the warm start) and the
-    fidelity of the ensemble averages (upper bound).
+    same marginal constraints as :func:`ehs_distance`.  The ascent runs on
+    the :func:`kantorovich_fidelity` solve's support and ground cost and
+    starts from its coupling; the value lies between that coupling's
+    fidelity (lower bound) and the fidelity of the ensemble averages (upper
+    bound).
     """
     opts = _as_options(opts)
-    sp = unify_support(a, b)
     upper = fidelity(average_state(a), average_state(b))
-    w = pairwise_matrix(sp.omega, "fidelity")
-    val, (pt, qt), sweeps, converged, fk = _bca(sp.p, sp.q, w, opts)
+    fk, plan = kantorovich_fidelity(a, b)
+    sp = plan.support
+    val, (pt, qt), sweeps, converged = _bca(sp.p, sp.q, plan.cost, plan.table, opts)
     value = float(min(max(val, 0.0), 1.0))
     return SolveReport(value, JointPair(pt, qt), sweeps, (fk, upper), converged, "block-ascent")
 
 
-def ehs_bures(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) -> tuple[float, float]:
-    """Bures length and angle derived from one fidelity solve:
-    ``sqrt(1 - F)`` and ``arccos F``."""
-    f = ehs_fidelity(a, b, opts).value
-    return float(np.sqrt(1.0 - f)), float(np.arccos(f))
+def ehs_bures(
+    a: Ensemble, b: Ensemble, opts: SolverOptions | None = None
+) -> tuple[float, float, SolveReport]:
+    """Bures length and angle derived from one fidelity solve,
+    ``sqrt(1 - F)`` and ``arccos F``, and that solve's report."""
+    report = ehs_fidelity(a, b, opts)
+    f = report.value
+    return float(np.sqrt(1.0 - f)), float(np.arccos(f)), report
 
 
 def uhlmann_pure_ensembles(rho: np.ndarray, sigma: np.ndarray):

@@ -34,14 +34,17 @@ class Coupling:
     A solved coupling also carries the optimal dual potentials, indexed like
     the row and column marginals: ``row_duals[i] + col_duals[j]`` equals
     the cost on every basic cell, and the value is ``row_duals @ p +
-    col_duals @ q``.  ``support`` is the unified support of the two
-    ensembles, when the coupling came from a pair of ensembles.
+    col_duals @ q``.  When the coupling came from a pair of ensembles,
+    ``support`` is their unified support and ``cost`` the ground cost the
+    solve used, indexed like the table: the pairwise measure on the rows and
+    columns with mass, zero elsewhere.
     """
 
     table: np.ndarray
     row_duals: np.ndarray | None = None
     col_duals: np.ndarray | None = None
     support: SupportPair | None = None
+    cost: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,7 +387,7 @@ def coupling_lp(a: Ensemble, b: Ensemble, kind: str = "distance") -> SolveReport
     The cost is evaluated only on the rows and columns with mass, the cells
     a coupling can use, and equals ``pairwise_matrix(omega, kind)`` there.
     The value and the bracket are clipped to [0, 1], and the coupling
-    carries the unified support it is indexed by.
+    carries the unified support it is indexed by and that cost.
     """
     sp = unify_support(a, b)
     rows, cols = (sp.p > 0.0).nonzero()[0], (sp.q > 0.0).nonzero()[0]
@@ -393,7 +396,7 @@ def coupling_lp(a: Ensemble, b: Ensemble, kind: str = "distance") -> SolveReport
     cost[rows[:, None], cols] = pairwise_block(sp.omega, rows, cols, kind, roots)
     sol = transportation_lp(sp.p, sp.q, cost, "min" if kind == "distance" else "max")
     value, lo, hi = (min(max(x, 0.0), 1.0) for x in (sol.value, *sol.bracket))
-    plan = Coupling(sol.plan.table, sol.plan.row_duals, sol.plan.col_duals, sp)
+    plan = Coupling(sol.plan.table, sol.plan.row_duals, sol.plan.col_duals, sp, cost)
     return SolveReport(value, plan, sol.iterations, (lo, hi), sol.converged, sol.status)
 
 
@@ -412,13 +415,6 @@ def kantorovich_fidelity(a: Ensemble, b: Ensemble) -> SolveReport:
     return coupling_lp(a, b, "fidelity")
 
 
-def _check_flag_lists(ps, qs):
-    if len(ps) != len(qs):
-        raise LengthMismatch(f"flag lists of length {len(ps)} and {len(qs)}")
-    if not ps:
-        raise LengthMismatch("flag lists are empty")
-
-
 def flagged_closed_form_distance(
     ps: Sequence[tuple[float, np.ndarray]], qs: Sequence[tuple[float, np.ndarray]]
 ) -> float:
@@ -428,12 +424,7 @@ def flagged_closed_form_distance(
     sharing orthonormal flags the optimal coupling is forced and the value is
     ``sum_i min(p_i, q_i) Δ(rho_i, sigma_i) + |p_i - q_i| / 2``.
     """
-    _check_flag_lists(ps, qs)
-    total = 0.0
-    for (pi, rho), (qi, sigma) in zip(ps, qs):
-        total += min(pi, qi) * trace_distance(check_density(rho), check_density(sigma))
-        total += 0.5 * abs(pi - qi)
-    return float(total)
+    return _flagged_closed_form(ps, qs, "distance")
 
 
 def flagged_closed_form_fidelity(
@@ -441,13 +432,23 @@ def flagged_closed_form_fidelity(
 ) -> float:
     """Coupling fidelity between flag-tagged ensembles, in closed form:
     ``sum_i min(p_i, q_i) F(rho_i, sigma_i)``."""
-    _check_flag_lists(ps, qs)
-    return float(
-        sum(
-            min(pi, qi) * fidelity(check_density(rho), check_density(sigma))
-            for (pi, rho), (qi, sigma) in zip(ps, qs)
-        )
-    )
+    return _flagged_closed_form(ps, qs, "fidelity")
+
+
+def _flagged_closed_form(ps, qs, kind: str) -> float:
+    """The flag closed form of ``kind``, summed pair by pair in input order;
+    the distance adds ``|p_i - q_i| / 2`` after each pair's term."""
+    if len(ps) != len(qs):
+        raise LengthMismatch(f"flag lists of length {len(ps)} and {len(qs)}")
+    if not ps:
+        raise LengthMismatch("flag lists are empty")
+    pair_measure = trace_distance if kind == "distance" else fidelity
+    total = 0.0
+    for (pi, rho), (qi, sigma) in zip(ps, qs):
+        total += min(pi, qi) * pair_measure(check_density(rho), check_density(sigma))
+        if kind == "distance":
+            total += 0.5 * abs(pi - qi)
+    return float(total)
 
 
 @dataclass(frozen=True)

@@ -39,11 +39,6 @@ class GameResult:
     stderr: float
 
 
-def _game_result(trials: int, successes: int) -> GameResult:
-    est = successes / trials
-    return GameResult(trials, successes, est, float(np.sqrt(est * (1.0 - est) / trials)))
-
-
 @lru_cache(maxsize=None)
 def _tree_solvers(m: int, n: int):
     """All spanning trees of the complete bipartite support graph, with the
@@ -138,27 +133,12 @@ def simulate_kantorovich_game(
     A pair is drawn from the coupling, a fair coin picks which of the two
     states is sent, and the receiver applies the equal-prior Helstrom
     projector for that pair.  With the optimal coupling the success estimate
-    converges to ``(1 + coupling distance) / 2``.
+    converges to ``(1 + coupling distance) / 2``.  This is
+    :func:`simulate_ehs_game` on the table pair ``(coupling.table,
+    coupling.table)``, raising InfeasibleCoupling for a bad table.
     """
-    sp, table, _ = _unified_tables(a, b, coupling.table, coupling.table, _FEAS_TOL, InfeasibleCoupling)
-    if trials < 1:
-        raise InvalidParams(f"trials {trials}")
-    n = len(sp.omega)
-    weights = table.reshape(-1)
-    weights = weights / weights.sum()
-    succ = np.zeros(n * n)
-    for e, w in enumerate(weights):
-        if w <= 0.0:
-            continue
-        i, j = divmod(e, n)
-        _, proj = helstrom_pmax(sp.omega[i], sp.omega[j], 0.5)
-        hit_rho = float(np.real(np.trace(proj @ sp.omega[i])))
-        hit_sigma = float(np.real(np.trace(proj @ sp.omega[j])))
-        succ[e] = 0.5 * hit_rho + 0.5 * (1.0 - hit_sigma)
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(n * n, size=trials, p=weights)
-    wins = int(np.sum(rng.random(trials) < succ[idx]))
-    return _game_result(trials, wins)
+    tables = JointPair(coupling.table, coupling.table)
+    return _announced_pair_game(a, b, tables, trials, seed, InfeasibleCoupling)
 
 
 def simulate_ehs_game(
@@ -171,9 +151,13 @@ def simulate_ehs_game(
     the receiver plays the prior-weighted Helstrom projector.  Twice the
     success estimate minus one converges to the table objective.
     """
-    sp, tp, tq = _unified_tables(
-        a, b, joint_pair.p_table, joint_pair.q_table, _FEAS_TOL, InfeasibleJointPair
-    )
+    return _announced_pair_game(a, b, joint_pair, trials, seed, InfeasibleJointPair)
+
+
+def _announced_pair_game(a, b, joint_pair: JointPair, trials: int, seed: int, err) -> GameResult:
+    """The game of :func:`simulate_ehs_game`; ``err`` is raised for tables
+    that do not fit the ensembles."""
+    sp, tp, tq = _unified_tables(a, b, joint_pair.p_table, joint_pair.q_table, _FEAS_TOL, err)
     if trials < 1:
         raise InvalidParams(f"trials {trials}")
     n = len(sp.omega)
@@ -193,7 +177,8 @@ def simulate_ehs_game(
     rng = np.random.default_rng(seed)
     idx = rng.choice(n * n, size=trials, p=announce)
     wins = int(np.sum(rng.random(trials) < succ[idx]))
-    return _game_result(trials, wins)
+    est = wins / trials
+    return GameResult(trials, wins, est, float(np.sqrt(est * (1.0 - est) / trials)))
 
 
 def fd_subgradient_check(objective, point: JointPair, directions: int = 20, seed: int = 0) -> float:

@@ -26,7 +26,6 @@ from ensemble_metrics.ensembles import (
 from ensemble_metrics.channels import WorstCaseOptions
 from ensemble_metrics.errors import InvalidParams, NotPure
 from ensemble_metrics.kantorovich import (
-    Coupling,
     SolveReport,
     kantorovich_distance,
     kantorovich_fidelity,
@@ -159,7 +158,7 @@ def test_budget_exhaustion_is_reported():
     assert rep.bracket[0] - 1e-12 <= rep.value <= rep.bracket[1] + 1e-12
 
 
-def test_fidelity_ascent_reports_the_start_it_returns(monkeypatch):
+def test_fidelity_ascent_reports_the_start_it_returns():
     # With w close to all-ones the ascent from the product tables still gains
     # more than 1e-10 a sweep when a 2000-sweep cap stops it.  A coupling
     # start on the off-diagonal cells keeps its zero pattern and stalls at
@@ -167,12 +166,26 @@ def test_fidelity_ascent_reports_the_start_it_returns(monkeypatch):
     p = q = np.array([0.5, 0.5])
     w = np.array([[1.0, 0.999], [0.999, 1.0]])
     table = np.array([[0.0, 0.5], [0.5, 0.0]])
-    off = SolveReport(0.999, Coupling(table), 0, (0.999, 0.999), True, "optimal")
-    monkeypatch.setattr(ehs, "transportation_lp", lambda *args: off)
-    val, _, sweeps, converged, _ = ehs._bca(p, q, w, SolverOptions(max_iter=2000, restarts=0))
+    val, _, sweeps, converged = ehs._bca(p, q, w, table, SolverOptions(max_iter=2000, restarts=0))
     assert sweeps == 1 + 2000
     assert val > 0.999 + 1e-4
     assert not converged
+
+
+def test_fidelity_ascent_starts_from_the_kantorovich_coupling():
+    # one coupling solve feeds the ascent its support, cost, start and lower
+    # end; the cost is the pairwise fidelity on the cells with mass
+    a = random_ensemble(2, 3, seed=1)
+    b = random_ensemble(2, 3, seed=51)
+    fk, plan = kantorovich_fidelity(a, b)
+    sp = plan.support
+    rows, cols = sp.p > 0.0, sp.q > 0.0
+    want = np.array([[fidelity(x, y) for y in sp.omega] for x in sp.omega])
+    assert np.array_equal(plan.cost[np.ix_(rows, cols)], want[np.ix_(rows, cols)])
+    assert not plan.cost[~rows].any() and not plan.cost[:, ~cols].any()
+    rep = ehs_fidelity(a, b, SolverOptions(max_iter=0, restarts=0))
+    assert rep.bracket[0] == fk
+    assert rep.value >= fk - 1e-12
 
 
 def test_solver_options_defaults():
@@ -188,11 +201,12 @@ def test_solver_options_defaults():
     lambda: SolverOptions(tol=float("nan")),
     lambda: SolverOptions(tol=0.0),
     lambda: SolverOptions(tol=float("inf")),
+    lambda: SolverOptions(tol=True),
     lambda: SolverOptions(max_iter=2.5),
     lambda: SolverOptions(restarts=True),
     lambda: WorstCaseOptions(max_steps=-1),
     lambda: WorstCaseOptions(seed=1.0),
-], ids=["seed", "tol-nan", "tol-zero", "tol-inf", "max_iter", "restarts-bool",
+], ids=["seed", "tol-nan", "tol-zero", "tol-inf", "tol-bool", "max_iter", "restarts-bool",
         "max_steps", "worst-seed"])
 def test_options_reject_invalid_values(make):
     with pytest.raises(InvalidParams):
@@ -285,11 +299,24 @@ def test_ehs_bures_relations():
     a = random_ensemble(2, 2, seed=81)
     b = random_ensemble(2, 2, seed=82)
     f = ehs_fidelity(a, b).value
-    length, angle = ehs_bures(a, b)
+    length, angle, report = ehs_bures(a, b)
+    assert report.value == f
     assert abs(length - np.sqrt(1.0 - f)) <= 1e-9
     assert abs(angle - np.arccos(f)) <= 1e-9
     same = ehs_bures(a, a)
     assert same[0] <= 1e-4 and same[1] <= 1e-2
+
+
+def test_ehs_bures_reports_an_ascent_that_never_ran():
+    a = random_ensemble(2, 3, seed=1)
+    b = random_ensemble(2, 3, seed=51)
+    length, angle, report = ehs_bures(a, b, SolverOptions(max_iter=0))
+    assert not report.converged and report.iterations == 0
+    assert (length, angle) == (np.sqrt(1.0 - report.value), np.arccos(report.value))
+    assert (round(length, 5), round(angle, 5)) == (0.36439, 0.5212)
+    length, angle, report = ehs_bures(a, b)
+    assert report.converged
+    assert (round(length, 5), round(angle, 5)) == (0.35811, 0.51202)
 
 
 def test_orthogonal_singletons_extremes():

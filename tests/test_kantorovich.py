@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ensemble_metrics import kantorovich
 from ensemble_metrics.ensembles import make_ensemble, pure_state, unify_support
-from ensemble_metrics.errors import LengthMismatch, OutOfRange
+from ensemble_metrics.errors import InvalidState, LengthMismatch, OutOfRange
 from ensemble_metrics.kantorovich import (
     _northwest_corner,
     _simplex,
@@ -272,6 +272,12 @@ def test_flagged_closed_form_errors():
         flagged_closed_form_distance([(1.0, KET0)], [])
     with pytest.raises(LengthMismatch):
         flagged_closed_form_fidelity([], [])
+    # pairs are checked in input order, each rho before its sigma
+    not_hermitian = np.array([[1.0, 1.0], [0.0, 0.0]])
+    ps, qs = [(0.5, KET0), (0.5, not_hermitian)], [(0.5, 2.0 * KET0), (0.5, KET1)]
+    for closed_form in (flagged_closed_form_distance, flagged_closed_form_fidelity):
+        with pytest.raises(InvalidState, match="trace differs"):
+            closed_form(ps, qs)
 
 
 def test_triangle_inequality_small_batch():

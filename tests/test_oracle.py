@@ -120,6 +120,18 @@ def test_kantorovich_game_rejects_infeasible_coupling():
         simulate_kantorovich_game(a, b, good, trials=0)
 
 
+def test_kantorovich_game_is_the_ehs_game_on_the_coupling_twice():
+    # the coupled game announces each pair with its table weight and sends
+    # either state with prior 1/2: the announced-pair game on (table, table)
+    for seed in range(4):
+        a = random_ensemble(2, 3, seed=50 + seed)
+        b = random_ensemble(2, 2 + seed % 2, seed=60 + seed)
+        _, coupling = kantorovich_distance(a, b)
+        tables = JointPair(coupling.table, coupling.table)
+        got = simulate_kantorovich_game(a, b, coupling, trials=5000, seed=seed)
+        assert got == simulate_ehs_game(a, b, tables, trials=5000, seed=seed)
+
+
 def test_ehs_game_tracks_embedding_distance():
     a = random_ensemble(2, 2, seed=41)
     b = random_ensemble(2, 2, seed=42)

@@ -98,7 +98,9 @@ LAYER_CASES = [
      {"ensembles.make_ensemble_calls": 2, "ensembles.unify_support_calls": 1,
       "kantorovich.coupling_lp_calls": 1, "kantorovich.transportation_lp_calls": 1,
       "channels.score_evaluations": 1}, ()),
-    (["fid", "bell.json", "prods.json", "--method", "ehs"], {"channels.score_evaluations": 1},
+    (["fid", "bell.json", "prods.json", "--method", "ehs"],
+     {"ensembles.unify_support_calls": 1, "kantorovich.coupling_lp_calls": 1,
+      "kantorovich.transportation_lp_calls": 1, "channels.score_evaluations": 1},
      ("ehs.fidelity_sweeps",)),
     (["channel", "measz.json", "measx.json"], {"channels.make_measurement_calls": 2},
      ("channels.device_to_ensemble_ms",)),
