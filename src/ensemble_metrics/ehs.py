@@ -41,9 +41,10 @@ class SolverOptions:
     ``max_iter`` caps the distance iterations, and the sweeps of each start
     of the fidelity solver; ``restarts`` counts the random initializations
     of the fidelity solver (the product and warm-start initializations
-    always run).  Raises InvalidParams unless ``tol`` is finite and
-    positive (a bool is not) and every count and ``seed`` is an integer
-    >= 0.
+    always run).  A solve whose bracket is at most ``tol`` wide reports
+    converged even when ``max_iter`` ran out.  Raises InvalidParams unless
+    ``tol`` is finite and positive (a bool is not) and every count and
+    ``seed`` is an integer >= 0.
     """
 
     tol: float = 1e-4
@@ -80,25 +81,39 @@ class JointPair:
     q_table: np.ndarray
 
 
+class _RowSimplex:
+    """Euclidean projection of each row of an ``(m, n)`` array onto
+    ``{y >= 0, sum y = mass}`` for fixed row masses.
+
+    Sort-and-threshold, row by row; rows with zero mass project to zero.
+    The masses, ``k = 1..n`` and the row index are laid out once.
+    """
+
+    def __init__(self, masses: np.ndarray, n: int):
+        pos = (masses > 0.0)[:, None]
+        self.pos = None if pos.all() else pos
+        self.mass = masses[:, None]
+        self.k = np.arange(1, n + 1)
+        self.rows = np.arange(len(masses))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        u = -x
+        u.sort(axis=1)
+        u = -u
+        css = u.cumsum(axis=1) - self.mass
+        cond = u - css / self.k > 0.0
+        idx = len(self.k) - 1 - cond[:, ::-1].argmax(axis=1)
+        tau = css[self.rows, idx] / (idx + 1.0)
+        out = np.maximum(x - tau[:, None], 0.0)
+        return out if self.pos is None else np.where(self.pos, out, 0.0)
+
+
 def project_rows_to_simplex(x: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row of ``x`` onto ``{y >= 0, sum y = mass}``.
 
     Sort-and-threshold; rows with zero mass project to zero.
     """
-    m, n = x.shape
-    out = np.zeros_like(x)
-    pos = masses > 0.0
-    if not np.any(pos):
-        return out
-    xs = x[pos]
-    u = -np.sort(-xs, axis=1)
-    css = np.cumsum(u, axis=1) - masses[pos, None]
-    k = np.arange(1, n + 1)
-    cond = u - css / k > 0.0
-    idx = n - 1 - np.argmax(cond[:, ::-1], axis=1)
-    tau = css[np.arange(len(xs)), idx] / (idx + 1.0)
-    out[pos] = np.maximum(xs - tau[:, None], 0.0)
-    return out
+    return _RowSimplex(masses, x.shape[1])(x)
 
 
 class _DistanceObjective:
@@ -129,8 +144,8 @@ class _DistanceObjective:
     def contract(self, dual: np.ndarray):
         """Pair the dual blocks with the state stacks: the coefficients of the
         tables in the bilinear form, also the (sub)gradient direction."""
-        gp = 0.5 * np.real(np.einsum("eij,eji->e", dual, self.rho)).reshape(self.n, self.n)
-        gq = -0.5 * np.real(np.einsum("eij,eji->e", dual, self.sigma)).reshape(self.n, self.n)
+        gp = 0.5 * np.einsum("eij,eji->e", dual, self.rho).real.reshape(self.n, self.n)
+        gq = -0.5 * np.einsum("eij,eji->e", dual, self.sigma).real.reshape(self.n, self.n)
         return gp, gq
 
     def dual_bound(self, gp: np.ndarray, gq: np.ndarray) -> float:
@@ -151,7 +166,9 @@ def _solve_distance(obj: _DistanceObjective, start, opts: SolverOptions, lower: 
     _, y = spectral_map(obj.blocks(ptab, qtab), np.sign)
     dual_best = max(lower, 0.0)
     step = 1.0 / obj.step_norm
-    masses = np.concatenate([obj.p, obj.q])
+    n = obj.n
+    project = _RowSimplex(np.concatenate([obj.p, obj.q]), n)
+    moved = np.empty((2 * n, n))
     iterations = 0
     converged = False
     while iterations < opts.max_iter:
@@ -159,12 +176,14 @@ def _solve_distance(obj: _DistanceObjective, start, opts: SolverOptions, lower: 
         # project each dual block onto the contractions: eigenvalues into [-1, 1]
         y = y + (0.5 * step) * obj.blocks(pbar, qbar)
         y = 0.5 * (y + y.conj().swapaxes(-1, -2))
-        _, y = spectral_map(y, lambda w: np.clip(w, -1.0, 1.0))
+        w, v = np.linalg.eigh(y)
+        y = (v * np.minimum(np.maximum(w, -1.0), 1.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
         gp, gq = obj.contract(y)
         # the P rows and the Q columns, projected row by row in one call
-        moved = np.concatenate([ptab - step * gp, (qtab - step * gq).T])
-        rows = project_rows_to_simplex(moved, masses)
-        pnew, qnew = rows[: obj.n], rows[obj.n :].T
+        np.subtract(ptab, step * gp, out=moved[:n])
+        np.subtract(qtab.T, step * gq.T, out=moved[n:])
+        rows = project(moved)
+        pnew, qnew = rows[:n], rows[n:].T
         pbar, qbar = 2.0 * pnew - ptab, 2.0 * qnew - qtab
         ptab, qtab = pnew, qnew
         if iterations % 5 == 0 or iterations == opts.max_iter:
@@ -186,7 +205,8 @@ def ehs_distance(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) ->
     The value always lies between the trace distance of the ensemble
     averages (bracket lower bound) and the coupling distance (upper bound,
     also the warm start).  ``converged`` is False only when the iteration
-    budget ran out before the certificate gap closed to ``tol``.
+    budget ran out before the certificate gap, or the bracket, closed to
+    ``tol``.
     """
     opts = _as_options(opts)
     sp = unify_support(a, b)
@@ -195,62 +215,67 @@ def ehs_distance(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) ->
     obj = _DistanceObjective(sp.omega, sp.p, sp.q)
     val, (ptab, qtab), iters, converged = _solve_distance(obj, coupling.table, opts, lower)
     value = float(min(max(val, 0.0), 1.0))
+    converged = converged or dk - lower <= opts.tol
     return SolveReport(value, JointPair(ptab, qtab), iters, (lower, dk), converged, "pdhg")
 
 
 def _rescale_rows(num: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Each row of ``num`` scaled to sum to its mass; a row summing to 0
-    spreads its mass evenly."""
-    rs = num.sum(axis=1, keepdims=True)
+    """Each row of ``num``, or of each table in a stack ``(s, n, n)``, scaled
+    to sum to its mass; a row summing to 0 spreads its mass evenly."""
+    rs = num.sum(axis=-1, keepdims=True)
     spread = masses[:, None] * num / np.where(rs > 0.0, rs, 1.0)
-    return np.where(rs > 0.0, spread, masses[:, None] / num.shape[1])
+    return np.where(rs > 0.0, spread, masses[:, None] / num.shape[-1])
 
 
 def _bca(p: np.ndarray, q: np.ndarray, w: np.ndarray, table: np.ndarray, opts: SolverOptions):
     """Block coordinate ascent for ``max sum sqrt(P_e Q_e) w_e``, started
-    from ``(table, table)``, then from the product tables and from
+    from ``(table, table)``, from the product tables and from
     ``opts.restarts`` random ones.
 
     For fixed Q the optimal P-row is proportional to ``Q w²`` (Cauchy-Schwarz)
     and symmetrically for Q-columns, so each half-sweep is an exact block
-    maximum and the objective never decreases.  ``w`` is read only on the
-    rows of ``p`` and the columns of ``q`` with mass.
+    maximum and the objective never decreases.  The starts sweep in lockstep
+    as one stack; each leaves it on the sweep where it stalls (gains less
+    than 1e-10) or reaches ``opts.max_iter``, and keeps its own sweep count.
+    The first start of highest value is returned with its stall flag, and
+    the sweeps summed over the starts.  ``w`` is read only on the rows of
+    ``p`` and the columns of ``q`` with mass.
     """
     n = len(p)
     w2 = w * w
     rng = np.random.default_rng(opts.seed)
-
-    def random_tables():
-        pt = project_rows_to_simplex(rng.random((n, n)), p)
-        qt = project_rows_to_simplex(rng.random((n, n)).T, q).T
-        return pt, qt
-
-    starts = [(table.copy(), table.copy()), (np.outer(p, q), np.outer(p, q))]
-    starts += [random_tables() for _ in range(opts.restarts)]
+    project_p, project_q = _RowSimplex(p, n), _RowSimplex(q, n)
+    pts, qts = [table, np.outer(p, q)], [table, np.outer(p, q)]
+    for _ in range(opts.restarts):
+        pts.append(project_p(rng.random((n, n))))
+        qts.append(project_q(rng.random((n, n)).T).T)
 
     def value_of(pt, qt):
-        return float(np.sum(np.sqrt(pt * qt) * w))
+        return np.sum(np.sqrt(pt * qt) * w, axis=(1, 2))
 
-    best_val = -np.inf
-    best = None
-    total_sweeps = 0
-    converged = False
-    for pt, qt in starts:
-        val = value_of(pt, qt)
-        stalled = False
-        for _ in range(opts.max_iter):
-            total_sweeps += 1
-            pt = _rescale_rows(qt * w2, p)
-            qt = _rescale_rows((pt * w2).T, q).T
-            new_val = value_of(pt, qt)
-            if new_val - val < 1e-10:
-                val = max(val, new_val)
-                stalled = True
+    # the stacks hold each start's last tables; the live starts sweep on
+    ptabs, qtabs = pt, qt = np.stack(pts), np.stack(qts)
+    vals = val = value_of(pt, qt)
+    sweeps = np.zeros(len(vals), dtype=int)
+    stalled = np.zeros(len(vals), dtype=bool)
+    live = np.arange(len(vals))
+    for _ in range(opts.max_iter):
+        sweeps[live] += 1
+        pt = _rescale_rows(qt * w2, p)
+        qt = _rescale_rows((pt * w2).swapaxes(1, 2), q).swapaxes(1, 2)
+        new = value_of(pt, qt)
+        stall = new - val < 1e-10
+        val = np.where(stall, np.maximum(val, new), new)
+        if stall.any():
+            done, keep = live[stall], ~stall
+            ptabs[done], qtabs[done], vals[done] = pt[stall], qt[stall], val[stall]
+            stalled[done] = True
+            live, pt, qt, val = live[keep], pt[keep], qt[keep], val[keep]
+            if not len(live):
                 break
-            val = new_val
-        if val > best_val:
-            best_val, best, converged = val, (pt, qt), stalled
-    return best_val, best, total_sweeps, converged
+    ptabs[live], qtabs[live], vals[live] = pt, qt, val
+    best = int(np.argmax(vals))
+    return float(vals[best]), (ptabs[best], qtabs[best]), int(sweeps.sum()), bool(stalled[best])
 
 
 def ehs_fidelity(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) -> SolveReport:
@@ -261,7 +286,8 @@ def ehs_fidelity(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) ->
     the :func:`kantorovich_fidelity` solve's support and ground cost and
     starts from its coupling; the value lies between that coupling's
     fidelity (lower bound) and the fidelity of the ensemble averages (upper
-    bound).
+    bound).  ``converged`` is the returned start's stall flag, or True when
+    the bracket is at most ``tol`` wide.
     """
     opts = _as_options(opts)
     upper = fidelity(average_state(a), average_state(b))
@@ -269,6 +295,7 @@ def ehs_fidelity(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) ->
     sp = plan.support
     val, (pt, qt), sweeps, converged = _bca(sp.p, sp.q, plan.cost, plan.table, opts)
     value = float(min(max(val, 0.0), 1.0))
+    converged = converged or upper - fk <= opts.tol
     return SolveReport(value, JointPair(pt, qt), sweeps, (fk, upper), converged, "block-ascent")
 
 

@@ -3,11 +3,13 @@
 Usage, from the repository root:
 
     python3 tests/compare_reports.py OLD_SRC NEW_SRC [--time R] [--seeds S ...]
+                                     [--workloads NAME ...]
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories that hold an ``ensemble_metrics``
 package, such as the ``src`` of two checkouts.  Every request of the
-benchmark's four workloads (``perfbench/workloads.py``) is built for seeds 1
-and 2, or those ``--seeds`` names, in a temporary directory.  Each tree runs
+benchmark's four workloads (``perfbench/workloads.py``), or of those
+``--workloads`` names, is built for seeds 1 and 2, or those ``--seeds``
+names, in a temporary directory.  Each tree runs
 ``ensemble_metrics.cli.main`` in one long-lived interpreter of its own,
 through ``perfbench/run.py``'s ``call``, with the BLAS thread count and seed
 environment that importing ``run`` sets; the two interpreters take turns
@@ -123,17 +125,19 @@ def _changes(old: str, new: str) -> tuple[list[str], float, bool]:
 
 
 def main(argv=None) -> int:
+    import workloads
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
     parser.add_argument("--time", type=int, default=0, metavar="R",
                         help="run every request R times on each tree and print the timings")
     parser.add_argument("--seeds", type=int, nargs="+", default=SEEDS, metavar="S")
+    parser.add_argument("--workloads", nargs="+", default=list(workloads.WORKLOADS),
+                        choices=workloads.WORKLOADS, metavar="NAME")
     args = parser.parse_args(argv)
 
-    import workloads
-
-    names = list(workloads.WORKLOADS)
+    names = list(dict.fromkeys(args.workloads))
     times = {name: [] for name in names}  # per request: [old median, new median]
     outputs = []  # per request: [old, new] of [exit code, stdout]
     trees = _Tree(args.old_src.resolve()), _Tree(args.new_src.resolve())

@@ -293,14 +293,33 @@ def test_exhausted_budget_exits_4_but_reports(capsys, monkeypatch):
 
 def test_fid_max_iter_caps_each_start_of_the_ascent(capsys, monkeypatch):
     # with no sweep allowed every start stays where it began, unconverged
+    # (the bracket of this pair is open)
     monkeypatch.delenv(SEED_ENV, raising=False)
-    code = main(_expand(["fid", "bell.json", "prods.json", "--method", "ehs", "--max-iter", "0"]))
+    argv = ["fid", "classic_p.json", "classic_q.json", "--method", "ehs", "--max-iter", "0"]
+    code = main(_expand(argv))
     report = json.loads(capsys.readouterr().out)
     assert code == 4
     assert report["solver"]["iterations"] == 0
     assert report["solver"]["converged"] is False
     lo, hi = report["bracket"]
     assert lo - 1e-9 <= report["value"] <= hi + 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ["fid", "bell.json", "prods.json"],
+    ["fid", "single0.json", "single1.json"],
+    ["dist", "single0.json", "single1.json"],
+])
+def test_closed_bracket_certifies_the_value_when_the_budget_ran_out(argv, capsys, monkeypatch):
+    # a bracket at most --tol wide pins the value whatever the solver did
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    code = main(_expand(argv + ["--method", "ehs", "--max-iter", "0"]))
+    report = json.loads(capsys.readouterr().out)
+    lo, hi = report["bracket"]
+    assert hi - lo <= report["solver"]["tol"]
+    assert report["solver"]["iterations"] == 0
+    assert report["solver"]["converged"] is True
+    assert code == 0
 
 
 def test_invalid_measurement_exits_5(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from ensemble_metrics.ensembles import (
     unify_support,
 )
 from ensemble_metrics.channels import WorstCaseOptions
+from ensemble_metrics.cli import _sig12
 from ensemble_metrics.errors import InvalidParams, NotPure
 from ensemble_metrics.kantorovich import (
     SolveReport,
@@ -170,6 +173,100 @@ def test_fidelity_ascent_reports_the_start_it_returns():
     assert sweeps == 1 + 2000
     assert val > 0.999 + 1e-4
     assert not converged
+
+
+def _ascent_one_start_at_a_time(p, q, w, table, opts):
+    """The fidelity ascent with its starts run one after another, each to
+    its own stall or cap: the reference the lockstep ascent must match bit
+    for bit."""
+    n = len(p)
+    w2 = w * w
+    rng = np.random.default_rng(opts.seed)
+
+    def rescale_rows(num, masses):
+        rs = num.sum(axis=1, keepdims=True)
+        spread = masses[:, None] * num / np.where(rs > 0.0, rs, 1.0)
+        return np.where(rs > 0.0, spread, masses[:, None] / num.shape[1])
+
+    def random_tables():
+        pt = project_rows_to_simplex(rng.random((n, n)), p)
+        qt = project_rows_to_simplex(rng.random((n, n)).T, q).T
+        return pt, qt
+
+    starts = [(table.copy(), table.copy()), (np.outer(p, q), np.outer(p, q))]
+    starts += [random_tables() for _ in range(opts.restarts)]
+
+    def value_of(pt, qt):
+        return float(np.sum(np.sqrt(pt * qt) * w))
+
+    best_val, best, total_sweeps, converged = -np.inf, None, 0, False
+    for pt, qt in starts:
+        val = value_of(pt, qt)
+        stalled = False
+        for _ in range(opts.max_iter):
+            total_sweeps += 1
+            pt = rescale_rows(qt * w2, p)
+            qt = rescale_rows((pt * w2).T, q).T
+            new_val = value_of(pt, qt)
+            if new_val - val < 1e-10:
+                val = max(val, new_val)
+                stalled = True
+                break
+            val = new_val
+        if val > best_val:
+            best_val, best, converged = val, (pt, qt), stalled
+    return best_val, best, total_sweeps, converged
+
+
+def test_lockstep_ascent_equals_the_starts_run_one_at_a_time():
+    # n >= 9 sums rows in numpy's pairwise regime; every even n has
+    # zero-mass rows and columns and zero cells of w
+    rng = np.random.default_rng(25)
+    for n in range(1, 20):
+        p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        w = rng.random((n, n))
+        if n % 2 == 0:
+            p[: n // 4] = 0.0
+            q[n // 3 :: 3] = 0.0
+            p, q = p / p.sum(), q / q.sum()
+            w[rng.random((n, n)) < 0.3] = 0.0
+        if n % 6 == 5:
+            w[:] = 0.0  # every start ties at 0, and the first one is returned
+        table = np.outer(p, q) * (rng.random((n, n)) < 0.5)
+        for restarts, max_iter, seed in itertools.product((0, 8), (0, 3, 5000), (0, 7)):
+            # no restart draws nothing, and the long runs take turns by n
+            if (restarts == 0 or max_iter == 5000) and seed != (0, 7)[n % 2]:
+                continue
+            opts = SolverOptions(max_iter=max_iter, restarts=restarts, seed=seed)
+            want = _ascent_one_start_at_a_time(p, q, w, table, opts)
+            got = ehs._bca(p, q, w, table, opts)
+            assert got[0] == want[0]
+            assert np.array_equal(got[1][0], want[1][0])
+            assert np.array_equal(got[1][1], want[1][1])
+            assert (got[2], got[3]) == (want[2], want[3])
+
+
+def test_distance_iteration_trajectory_of_the_kept_benchmark_fault():
+    # the benchmark's kept fault, rebuilt in the draw order of its input
+    # generator: two full-rank qubit states a side whose certificate gap is
+    # still open after 5000 iterations
+    rng = np.random.default_rng(348)
+
+    def draw():
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        m = g @ g.conj().T
+        m = 0.5 * (m + m.conj().T)
+        return m / np.trace(m).real
+
+    sa = [draw() for _ in range(2)]
+    sb = [draw() for _ in range(2)]
+    a = make_ensemble(list(zip(rng.dirichlet(np.ones(2)), sa)))
+    b = make_ensemble(list(zip(rng.dirichlet(np.ones(2)), sb)))
+    rep = ehs_distance(a, b)
+    assert _sig12(rep.value) == 0.743323140732
+    assert [_sig12(x) for x in rep.bracket] == [0.724187146345, 0.745041717382]
+    assert rep.iterations == 5000
+    assert rep.converged is False
 
 
 def test_fidelity_ascent_starts_from_the_kantorovich_coupling():
