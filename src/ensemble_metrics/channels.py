@@ -17,10 +17,10 @@ transportation LP whose marginals (outcome probabilities) and costs (trace
 distances or fidelities of the post-measurement states) are smooth in the
 input, so the optimal flow and dual potentials of that same solve give the
 exact gradient (envelope theorem; Bertsimas and Tsitsiklis, *Introduction to
-Linear Optimization* (1997), ch. 5).  ``method="ehs"`` has no dual
-certificate and takes central differences of the values.  Either way the
-value found is a bound: below the true maximum distance, above the true
-minimum fidelity.
+Linear Optimization* (1997), ch. 5).  ``method="ehs"`` reads the same
+gradient off its solve's tables and duals (Danskin, *The Theory of Max-Min*
+(1967)), exact to the solve's ``tol``.  Either way the value found is a
+bound: below the true maximum distance, above the true minimum fidelity.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ehs import SolverOptions, check_counts, ehs_distance, ehs_fidelity
+from .ehs import JointPair, SolverOptions, check_counts, ehs_distance, ehs_fidelity
 from .ensembles import (
     Ensemble,
     _assemble,
@@ -382,11 +382,8 @@ def fid_iso(
     return _device_measure(m, n, jamiolkowski_ensemble, "fidelity", method, opts)
 
 
-# The tangent-gradient norm at which an ascent from one start stops, and the
-# central-difference step of the gradient for methods with no dual
-# certificate.
+# The tangent-gradient norm at which an ascent from one start stops.
 GRAD_NORM_TOL = 1e-6
-FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -494,25 +491,6 @@ def _sphere_search(evaluate, dim: int, wopts: WorstCaseOptions, starts_extra):
     return best_val, best_psi, steps, stationary
 
 
-def _difference_gradient(score):
-    """Adapt a value-only ``score`` of the real parametrization to
-    :func:`_sphere_search`: the gradient is taken by central differences
-    with step ``FD_STEP``, 4·dim further scores each."""
-
-    def evaluate(x):
-        def gradient():
-            grad = np.zeros_like(x)
-            for k in range(len(x)):
-                e = np.zeros_like(x)
-                e[k] = FD_STEP
-                grad[k] = (score(x + e) - score(x - e)) / (2.0 * FD_STEP)
-            return grad
-
-        return score(x), gradient
-
-    return evaluate
-
-
 def _cost_gradients(kind: str, omega, u, v, roots) -> tuple[np.ndarray, np.ndarray]:
     """The gradients of the ground costs of the support cells
     ``(u[k], v[k])`` with respect to ``omega[u[k]]`` and ``omega[v[k]]``,
@@ -533,17 +511,41 @@ def _cost_gradients(kind: str, omega, u, v, roots) -> tuple[np.ndarray, np.ndarr
     return grads[: len(u)], grads[len(u) :]
 
 
-def _coupling_gradient(kind: str, factors, outputs, coupling, stack) -> np.ndarray:
-    """Gradient ``2 G ψ`` of a coupling value at the pure input ``ψ``.
+def _flow_gradient(kind: str, plan) -> np.ndarray:
+    """The flow-weighted cost gradient on each support state: a coupling
+    moves its table ``π``, an extended-space fidelity pair ``√(P Q)``, on
+    both sides of each off-diagonal cell (a diagonal cell's cost is
+    constant); an extended-space distance pair puts ``½ P_ij Y_ij`` on
+    ``ω_i`` and ``−½ Q_ij Y_ij`` on ``ω_j``, ``Y`` its solve's dual."""
+    omega = plan.support.omega
+    if isinstance(plan, JointPair) and kind == "distance":
+        u, v = np.divmod(np.arange(plan.p_table.size), len(omega))
+        fu, fv = plan.p_table.reshape(-1, 1, 1), plan.q_table.reshape(-1, 1, 1)
+        gu, gv = 0.5 * plan.dual, -0.5 * plan.dual
+    else:
+        flow = np.sqrt(plan.p_table * plan.q_table) if isinstance(plan, JointPair) else plan.table
+        u, v = (flow > 0.0).nonzero()
+        off = u != v
+        u, v = u[off], v[off]
+        roots = plan.support.roots if kind == "fidelity" else None
+        gu, gv = _cost_gradients(kind, omega, u, v, roots)
+        fu = fv = flow[u, v, None, None]
+    a = np.zeros(omega.shape, dtype=complex)
+    np.add.at(a, np.concatenate([u, v]), np.concatenate([fu * gu, fv * gv]))
+    return a
 
-    By the envelope theorem ``dV = Σ π_uv dC_uv + Σ U_u dp_u + Σ W_v dq_v``
-    at the optimal flow ``π`` and potentials ``U``, ``W`` that the solve
-    left on ``coupling``.  An outcome ``i`` of weight ``w_i`` has
-    ``p_i = w_i t_i``, ``t_i = Σ_{r∈i} ‖K_r ψ‖²``, and post-state
-    ``ω = Ã / t_i``, ``Ã = Σ_{r∈i} K_r ψψ† K_r†``; the flow-weighted cost
-    gradient ``A_s`` on a support state ``ω_s`` pulls back to
-    ``H_s = (A_s − Tr(A_s ω_s) I) / t_i`` on ``Ã``.  So, over the rows of
-    both stacks, ``G ψ = Σ_r K_r† M_{owner(r)} K_r ψ`` with
+
+def _coupling_gradient(kind: str, factors, outputs, plan, stack) -> np.ndarray:
+    """Gradient ``2 G ψ`` of a solved measure's value at the pure input ``ψ``.
+
+    By the envelope theorem ``dV = Σ Tr(A_s dω_s) + Σ U_u dp_u + Σ W_v dq_v``
+    at the flow-weighted cost gradient ``A`` (:func:`_flow_gradient`) and
+    the marginal duals ``U``, ``W`` that the solve left on ``plan``.  An
+    outcome ``i`` of weight ``w_i`` has ``p_i = w_i t_i``,
+    ``t_i = Σ_{r∈i} ‖K_r ψ‖²``, and post-state ``ω = Ã / t_i``,
+    ``Ã = Σ_{r∈i} K_r ψψ† K_r†``; ``A_s`` on a support state ``ω_s`` pulls
+    back to ``H_s = (A_s − Tr(A_s ω_s) I) / t_i`` on ``Ã``.  So, over the
+    rows of both stacks, ``G ψ = Σ_r K_r† M_{owner(r)} K_r ψ`` with
     ``M_i = U_{s(i)} w_i I`` for each kept outcome ``i`` of support state
     ``s(i)`` (``W`` on the second side), plus ``H_s`` on the outcome that
     ``s`` moves with: the first kept one, on the first side first, that
@@ -551,15 +553,9 @@ def _coupling_gradient(kind: str, factors, outputs, coupling, stack) -> np.ndarr
     (see :class:`_InputScore`), ``factors`` is its rows ``K_r ψ`` and
     ``outputs`` the two output ensembles.
     """
-    support, table = coupling.support, coupling.table
+    support = plan.support
     omega = support.omega
-    u, v = (table > 0.0).nonzero()
-    off = u != v
-    u, v = u[off], v[off]
-    gu, gv = _cost_gradients(kind, omega, u, v, support.roots if kind == "fidelity" else None)
-    flow = table[u, v, None, None]
-    a = np.zeros(omega.shape, dtype=complex)
-    np.add.at(a, np.concatenate([u, v]), np.concatenate([flow * gu, flow * gv]))
+    a = _flow_gradient(kind, plan)
 
     # the outcomes of both measurements, then their Kraus rows
     first, second = outputs
@@ -573,7 +569,7 @@ def _coupling_gradient(kind: str, factors, outputs, coupling, stack) -> np.ndarr
     dim = factors.shape[1]
     eye = np.eye(dim)
     m = np.zeros((len(weights), dim, dim), dtype=complex)
-    duals = np.concatenate([coupling.row_duals, coupling.col_duals])[side * len(omega) + s]
+    duals = np.concatenate([plan.row_duals, plan.col_duals])[side * len(omega) + s]
     m[kept] = (duals * weights[kept])[:, None, None] * eye
     states, at = np.unique(s, return_index=True)
     moved = kept[at]
@@ -588,12 +584,10 @@ class _InputScore:
     system, with the input given as a unit vector in the real
     parametrization.
 
-    Calling it at ``x`` returns the score and a function for its gradient,
-    as :func:`_sphere_search` wants.  For ``method="kantorovich"`` the
-    gradient comes from the same solve by :func:`_coupling_gradient`; other
-    methods have no dual certificate and difference the values.
-    ``evaluations`` counts the scores computed, and ``unconverged`` those
-    whose solve did not converge.
+    Calling it at ``x`` returns the score and a function for its gradient
+    from the same solve, as :func:`_sphere_search` wants.  ``evaluations``
+    counts the scores computed, and ``unconverged`` those whose solve did
+    not converge.
     """
 
     def __init__(self, m, n, kind: str, method: str, opts, a_dim: int):
@@ -609,13 +603,6 @@ class _InputScore:
         self.kind, self.method, self.opts = kind, method, opts
         self.sign = 1.0 if kind == "distance" else -1.0
         self.evaluations = self.unconverged = 0
-        if method == "kantorovich":
-            self._evaluate = self.solve
-        else:
-            self._evaluate = _difference_gradient(self.value)
-
-    def __call__(self, x):
-        return self._evaluate(x)
 
     def outputs(self, x):
         """The unit input ``ψ`` at ``x``, the factors ``K_r ψ`` of the stack's
@@ -628,20 +615,16 @@ class _InputScore:
         ens = _outcome_ensembles(self.stack.weights, post, self.split)
         return psi, factors, ens
 
-    def solve(self, x):
+    def __call__(self, x):
         """The score at ``x``, one :func:`measure` of the output ensembles
-        (:meth:`outputs`), and a function for its gradient by the optimal
-        coupling and potentials of that solve, which only a Kantorovich
-        solve has."""
+        (:meth:`outputs`), and a function for its gradient by the plan and
+        marginal duals of that solve."""
         _, factors, ens = self.outputs(x)
         report = measure(*ens, self.kind, self.method, self.opts)
         self.unconverged += not report.converged
         return self.sign * report.value, lambda: self.sign * _as_real(
             _coupling_gradient(self.kind, factors, ens, report.plan, self.stack)
         )
-
-    def value(self, x) -> float:
-        return self.solve(x)[0]
 
 
 def _worst_case(m, n, kind: str, method: str, opts, wopts, ancilla_dim) -> WorstCase:

@@ -25,7 +25,14 @@ from typing import Callable
 
 import numpy as np
 
-from .ensembles import Ensemble, average_state, make_ensemble, pure_state, unify_support
+from .ensembles import (
+    Ensemble,
+    SupportPair,
+    average_state,
+    make_ensemble,
+    pure_state,
+    unify_support,
+)
 from .errors import InvalidParams, NotPure
 from .kantorovich import SolveReport, kantorovich_distance, kantorovich_fidelity
 from .linalg import fidelity, mat_sqrt_psd, pairwise_matrix, spectral_map, trace_distance
@@ -68,17 +75,20 @@ def check_counts(opts, *names: str) -> None:
             raise InvalidParams(f"{name} must be an integer >= 0, got {value!r}")
 
 
-def _as_options(opts: SolverOptions | None) -> SolverOptions:
-    return SolverOptions() if opts is None else opts
-
-
 @dataclass(frozen=True, eq=False)
 class JointPair:
     """The two joint tables: rows of ``p_table`` sum to P, columns of
-    ``q_table`` sum to Q."""
+    ``q_table`` sum to Q.  A solved pair carries, as a ``Coupling`` does,
+    its ``support`` and the value's derivatives ``row_duals = dV/dP`` and
+    ``col_duals = dV/dQ``; a distance pair also the contraction stack
+    ``dual`` of its best bound, one block per cell in row-major order."""
 
     p_table: np.ndarray
     q_table: np.ndarray
+    support: SupportPair | None = None
+    row_duals: np.ndarray | None = None
+    col_duals: np.ndarray | None = None
+    dual: np.ndarray | None = None
 
 
 class _RowSimplex:
@@ -164,7 +174,8 @@ def _solve_distance(obj: _DistanceObjective, start, opts: SolverOptions, lower: 
     best_val, best = obj.value(ptab, qtab), (ptab, qtab)
     pbar, qbar = ptab, qtab
     _, y = spectral_map(obj.blocks(ptab, qtab), np.sign)
-    dual_best = max(lower, 0.0)
+    floor = max(lower, 0.0)
+    dual, dual_best = y, -np.inf  # the dual stack of the best bound it gave
     step = 1.0 / obj.step_norm
     n = obj.n
     project = _RowSimplex(np.concatenate([obj.p, obj.q]), n)
@@ -190,11 +201,13 @@ def _solve_distance(obj: _DistanceObjective, start, opts: SolverOptions, lower: 
             val = obj.value(ptab, qtab)
             if val < best_val:
                 best_val, best = val, (ptab.copy(), qtab.copy())
-            dual_best = max(dual_best, obj.dual_bound(gp, gq))
-            if best_val - dual_best <= opts.tol:
+            bound = obj.dual_bound(gp, gq)
+            if bound > dual_best:
+                dual, dual_best = y, bound
+            if best_val - max(floor, dual_best) <= opts.tol:
                 converged = True
                 break
-    return best_val, best, iterations, converged
+    return best_val, best, dual, iterations, converged
 
 
 def ehs_distance(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) -> SolveReport:
@@ -208,15 +221,17 @@ def ehs_distance(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) ->
     budget ran out before the certificate gap, or the bracket, closed to
     ``tol``.
     """
-    opts = _as_options(opts)
+    opts = SolverOptions() if opts is None else opts
     sp = unify_support(a, b)
     lower = trace_distance(average_state(a), average_state(b))
     dk, coupling = kantorovich_distance(a, b)
     obj = _DistanceObjective(sp.omega, sp.p, sp.q)
-    val, (ptab, qtab), iters, converged = _solve_distance(obj, coupling.table, opts, lower)
+    val, (ptab, qtab), dual, iters, converged = _solve_distance(obj, coupling.table, opts, lower)
     value = float(min(max(val, 0.0), 1.0))
     converged = converged or dk - lower <= opts.tol
-    return SolveReport(value, JointPair(ptab, qtab), iters, (lower, dk), converged, "pdhg")
+    gp, gq = obj.contract(dual)
+    plan = JointPair(ptab, qtab, sp, gp.min(1), gq.min(0), dual)
+    return SolveReport(value, plan, iters, (lower, dk), converged, "pdhg")
 
 
 def _rescale_rows(num: np.ndarray, masses: np.ndarray) -> np.ndarray:
@@ -289,14 +304,18 @@ def ehs_fidelity(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) ->
     bound).  ``converged`` is the returned start's stall flag, or True when
     the bracket is at most ``tol`` wide.
     """
-    opts = _as_options(opts)
+    opts = SolverOptions() if opts is None else opts
     upper = fidelity(average_state(a), average_state(b))
     fk, plan = kantorovich_fidelity(a, b)
     sp = plan.support
     val, (pt, qt), sweeps, converged = _bca(sp.p, sp.q, plan.cost, plan.table, opts)
     value = float(min(max(val, 0.0), 1.0))
     converged = converged or upper - fk <= opts.tol
-    return SolveReport(value, JointPair(pt, qt), sweeps, (fk, upper), converged, "block-ascent")
+    # the block maxima's optimality: dV/dP_i = ½ Σ_j √(P_ij Q_ij) w_ij / P_i
+    cells = 0.5 * np.sqrt(pt * qt) * plan.cost
+    duals = [c / np.where(m > 0.0, m, 1.0) for c, m in ((cells.sum(1), sp.p), (cells.sum(0), sp.q))]
+    pair = JointPair(pt, qt, sp, *duals)
+    return SolveReport(value, pair, sweeps, (fk, upper), converged, "block-ascent")
 
 
 def ehs_bures(
@@ -327,13 +346,10 @@ def uhlmann_pure_ensembles(rho: np.ndarray, sigma: np.ndarray):
     cols_p = sr @ (u @ vh)  # column i = alpha_i |psi_i>
     cols_q = ss
     overlap = float(np.sum(np.abs(np.einsum("ki,ki->i", cols_p.conj(), cols_q))))
-    wp = np.linalg.norm(cols_p, axis=0) ** 2
-    wq = np.linalg.norm(cols_q, axis=0) ** 2
-    ens_p = make_ensemble(
-        [(wp[i], pure_state(cols_p[:, i])) for i in range(len(wp)) if wp[i] > 0.0]
-    )
-    ens_q = make_ensemble(
-        [(wq[i], pure_state(cols_q[:, i])) for i in range(len(wq)) if wq[i] > 0.0]
+    weights = [np.linalg.norm(cols, axis=0) ** 2 for cols in (cols_p, cols_q)]
+    ens_p, ens_q = (
+        make_ensemble([(w[i], pure_state(c[:, i])) for i in range(len(w)) if w[i] > 0.0])
+        for c, w in zip((cols_p, cols_q), weights)
     )
     return ens_p, ens_q, overlap
 

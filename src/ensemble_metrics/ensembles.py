@@ -303,7 +303,7 @@ def fannes_avg_entropy_bound(dk: float, d: int) -> float:
     """
     if not 0.0 <= dk <= 1.0:
         raise OutOfRange(f"dk={dk} outside [0, 1]")
-    if int(d) != d or d < 2:
+    if not 2 <= float(d) < np.inf or int(d) != d:
         raise OutOfRange(f"dimension d={d} must be an integer >= 2")
     return dk * float(np.log2(d - 1)) + _binary_entropy(dk)
 

@@ -271,7 +271,7 @@ def partial_trace(a: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray
     """
     a = as_operator(a)
     da, db = dims
-    if a.shape[0] != da * db:
+    if min(da, db) < 1 or a.shape[0] != da * db:
         raise DimMismatch(f"matrix of size {a.shape[0]} is not {da}x{db} bipartite")
     t = a.reshape(da, db, da, db)
     if keep == "A":

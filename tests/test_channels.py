@@ -330,7 +330,7 @@ def test_score_checks_outcomes_of_roundoff_probability(seed):
         assert _first_invalid(np.array(out.states)) is None
         assert abs(out.probs.sum() - 1.0) <= 1e-12
         assert np.sort(out.probs)[-2] <= 1e-30
-    assert score.value(x) == 0.0
+    assert score(x)[0] == 0.0
 
 
 def test_outcomes_of_subnormal_trace_are_dropped():
@@ -430,7 +430,7 @@ def test_score_at_roundoff_outcomes_matches_the_kraus_formula(seed, kind):
     rho = np.outer(psi, psi.conj())
     ea, eb = (make_ensemble(_kraus_formula(k, rho, faint=1e-12)) for k in (m, n))
     measure = kantorovich_distance if kind == "distance" else kantorovich_fidelity
-    assert abs(score.sign * score.value(x) - measure(ea, eb)[0]) <= 1e-12
+    assert abs(score.sign * score(x)[0] - measure(ea, eb)[0]) <= 1e-12
 
 
 def test_is_unital():
@@ -624,7 +624,7 @@ def test_ehs_worst_case_counts_the_solves_that_did_not_converge(worst):
         found = worst(m, n, "ehs", SolverOptions(max_iter=0), wopts)
         assert found.unconverged == found.evaluations > 0
         score = _InputScore(m, n, kind, "ehs", None, 2)
-        assert sign * (found.value - sign * score.value(_as_real(found.state))) > 1e-3
+        assert sign * (found.value - sign * score(_as_real(found.state))[0]) > 1e-3
         assert score.unconverged == 0
         assert worst(m, n, wopts=wopts).unconverged == 0
 
@@ -648,14 +648,22 @@ def _random_input(dim, seed):
 
 
 @pytest.mark.parametrize("kind", ["distance", "fidelity"])
-@pytest.mark.parametrize("d, kraus", [(2, 1), (2, 2), (3, 1), (3, 2)])
-def test_coupling_gradient_matches_central_differences(d, kraus, kind):
+@pytest.mark.parametrize(
+    "d, kraus, method",
+    [pytest.param(d, k, "kantorovich", id=f"{d}-{k}") for d in (2, 3) for k in (1, 2)]
+    + [pytest.param(2, 1, "ehs", id="2-1-ehs")],
+)
+def test_coupling_gradient_matches_central_differences(d, kraus, method, kind):
+    # the extended-space gradient is exact only as far as its solve is: at
+    # tol=1e-11 the distance's gap measured at most 7e-8 on qubit pairs and
+    # the fidelity's up to 2e-4, where the ascent stalls short of its optimum
     m = random_measurement(d, 2, seed=60 + d + kraus, kraus_per_outcome=kraus)
     n = random_measurement(d, 3, seed=70 + d + kraus, kraus_per_outcome=kraus)
-    score = _InputScore(m, n, kind, "kantorovich", None, d)
+    opts = SolverOptions(tol=1e-11, max_iter=10**6)
+    score = _InputScore(m, n, kind, method, opts, d)
     gap, norm = _gradient_gap(score, _random_input(d * d, 80 + d + kraus))
     assert norm > 1e-3
-    assert gap <= 1e-6
+    assert gap <= (1e-6 if method == "kantorovich" else 1e-4)
 
 
 @pytest.mark.parametrize("kind", ["distance", "fidelity"])
@@ -814,6 +822,20 @@ def test_worst_case_evaluation_counts():
         assert found.evaluations <= bound, search.__name__
         assert found.evaluations > found.iterations + 3  # three starts, one score each
         assert 0 <= found.stationary_starts <= 3
+    # method="ehs" takes the same gradient from each solve's own plan and
+    # duals: 65 evaluations for Z vs X (449 with central differences) and
+    # 87 for the random pair's fid_min
+    found = dist_max(z, x, "ehs", wopts=wopts)
+    assert found.evaluations <= 81
+    assert abs(found.value - np.sqrt(3.0) / 2.0) <= 1e-9
+    m, n = random_measurement(2, 2, seed=1), random_measurement(2, 2, seed=51)
+    found = fid_min(m, n, "ehs", wopts=wopts)
+    assert found.evaluations <= 108
+    assert found.value <= fid_iso(m, n, "ehs").value + 1e-6
+    # here the entangled input is not the worst one: the search climbs from it
+    m, n = random_measurement(2, 2, seed=0), random_measurement(2, 2, seed=50)
+    found, iso = dist_max(m, n, "ehs", wopts=wopts), dist_iso(m, n, "ehs").value
+    assert found.value >= iso - 1e-6 and found.value > iso + 1e-2
 
 
 def _counting(evaluate):

@@ -357,6 +357,9 @@ def test_fannes_avg_entropy_bound_values():
         fannes_avg_entropy_bound(1.2, 2)
     with pytest.raises(OutOfRange):
         fannes_avg_entropy_bound(0.5, 1)
+    for d in (2.5, float("nan"), float("inf")):
+        with pytest.raises(OutOfRange, match="must be an integer >= 2"):
+            fannes_avg_entropy_bound(0.1, d)
 
 
 def test_canonical_ehs_state_structure():

@@ -297,3 +297,6 @@ def test_tensor_and_partial_trace_roundtrip():
         partial_trace(both, (4, 2), "A")
     with pytest.raises(OutOfRange):
         partial_trace(both, (2, 3), "C")
+    # (-2) x (-2) is 4 too, so only the sign of the factors tells it apart
+    with pytest.raises(DimMismatch, match="is not -2x-2 bipartite"):
+        partial_trace(np.eye(4), (-2, -2), "A")
