@@ -33,7 +33,7 @@ from .ensembles import (
     pure_state,
     unify_support,
 )
-from .errors import InvalidParams, NotPure
+from .errors import DimMismatch, InvalidParams, NotPure
 from .kantorovich import SolveReport, kantorovich_distance, kantorovich_fidelity
 from .linalg import fidelity, mat_sqrt_psd, pairwise_matrix, spectral_map, trace_distance
 
@@ -48,8 +48,8 @@ class SolverOptions:
     ``max_iter`` caps the distance iterations, and the sweeps of each start
     of the fidelity solver; ``restarts`` counts the random initializations
     of the fidelity solver (the product and warm-start initializations
-    always run).  A solve whose bracket is at most ``tol`` wide reports
-    converged even when ``max_iter`` ran out.  Raises InvalidParams unless
+    always run).  A solve reports converged exactly when the bracket its
+    own solve certifies is at most ``tol`` wide.  Raises InvalidParams unless
     ``tol`` is finite and positive (a bool is not) and every count and
     ``seed`` is an integer >= 0.
     """
@@ -174,14 +174,12 @@ def _solve_distance(obj: _DistanceObjective, start, opts: SolverOptions, lower: 
     best_val, best = obj.value(ptab, qtab), (ptab, qtab)
     pbar, qbar = ptab, qtab
     _, y = spectral_map(obj.blocks(ptab, qtab), np.sign)
-    floor = max(lower, 0.0)
     dual, dual_best = y, -np.inf  # the dual stack of the best bound it gave
     step = 1.0 / obj.step_norm
     n = obj.n
     project = _RowSimplex(np.concatenate([obj.p, obj.q]), n)
     moved = np.empty((2 * n, n))
     iterations = 0
-    converged = False
     while iterations < opts.max_iter:
         iterations += 1
         # project each dual block onto the contractions: eigenvalues into [-1, 1]
@@ -204,34 +202,33 @@ def _solve_distance(obj: _DistanceObjective, start, opts: SolverOptions, lower: 
             bound = obj.dual_bound(gp, gq)
             if bound > dual_best:
                 dual, dual_best = y, bound
-            if best_val - max(floor, dual_best) <= opts.tol:
-                converged = True
+            if best_val - max(lower, dual_best) <= opts.tol:
                 break
-    return best_val, best, dual, iterations, converged
+    return best_val, best, dual, iterations
 
 
 def ehs_distance(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) -> SolveReport:
     """Minimal trace distance between pointer embeddings of two ensembles.
 
     Solves ``(1/2) min sum ‖P(rho,sigma) rho - Q(rho,sigma) sigma‖_1`` over
-    table pairs whose P-rows sum to P(rho) and Q-columns sum to Q(sigma).
-    The value always lies between the trace distance of the ensemble
-    averages (bracket lower bound) and the coupling distance (upper bound,
-    also the warm start).  ``converged`` is False only when the iteration
-    budget ran out before the certificate gap, or the bracket, closed to
-    ``tol``.
+    table pairs whose P-rows sum to P(rho) and Q-columns sum to Q(sigma),
+    warm-started from the coupling.  The bracket is the certificate the
+    solve proves: the value, a feasible pair's, is the upper end; the
+    lower end is the larger of the trace distance of the ensemble averages
+    and the plan's dual bound ``p·row_duals + q·col_duals``, capped at the
+    value.  ``converged`` means the bracket is at most ``tol`` wide.
     """
     opts = SolverOptions() if opts is None else opts
     sp = unify_support(a, b)
     lower = trace_distance(average_state(a), average_state(b))
-    dk, coupling = kantorovich_distance(a, b)
+    coupling = kantorovich_distance(a, b).plan
     obj = _DistanceObjective(sp.omega, sp.p, sp.q)
-    val, (ptab, qtab), dual, iters, converged = _solve_distance(obj, coupling.table, opts, lower)
+    val, (ptab, qtab), dual, iters = _solve_distance(obj, coupling.table, opts, lower)
     value = float(min(max(val, 0.0), 1.0))
-    converged = converged or dk - lower <= opts.tol
     gp, gq = obj.contract(dual)
+    lo = min(max(lower, obj.dual_bound(gp, gq)), value)
     plan = JointPair(ptab, qtab, sp, gp.min(1), gq.min(0), dual)
-    return SolveReport(value, plan, iters, (lower, dk), converged, "pdhg")
+    return SolveReport(value, plan, iters, (lo, value), value - lo <= opts.tol, "pdhg")
 
 
 def _rescale_rows(num: np.ndarray, masses: np.ndarray) -> np.ndarray:
@@ -252,9 +249,9 @@ def _bca(p: np.ndarray, q: np.ndarray, w: np.ndarray, table: np.ndarray, opts: S
     maximum and the objective never decreases.  The starts sweep in lockstep
     as one stack; each leaves it on the sweep where it stalls (gains less
     than 1e-10) or reaches ``opts.max_iter``, and keeps its own sweep count.
-    The first start of highest value is returned with its stall flag, and
-    the sweeps summed over the starts.  ``w`` is read only on the rows of
-    ``p`` and the columns of ``q`` with mass.
+    The first start of highest value is returned, with the sweeps summed
+    over the starts.  ``w`` is read only on the rows of ``p`` and the
+    columns of ``q`` with mass.
     """
     n = len(p)
     w2 = w * w
@@ -272,7 +269,6 @@ def _bca(p: np.ndarray, q: np.ndarray, w: np.ndarray, table: np.ndarray, opts: S
     ptabs, qtabs = pt, qt = np.stack(pts), np.stack(qts)
     vals = val = value_of(pt, qt)
     sweeps = np.zeros(len(vals), dtype=int)
-    stalled = np.zeros(len(vals), dtype=bool)
     live = np.arange(len(vals))
     for _ in range(opts.max_iter):
         sweeps[live] += 1
@@ -284,13 +280,12 @@ def _bca(p: np.ndarray, q: np.ndarray, w: np.ndarray, table: np.ndarray, opts: S
         if stall.any():
             done, keep = live[stall], ~stall
             ptabs[done], qtabs[done], vals[done] = pt[stall], qt[stall], val[stall]
-            stalled[done] = True
             live, pt, qt, val = live[keep], pt[keep], qt[keep], val[keep]
             if not len(live):
                 break
     ptabs[live], qtabs[live], vals[live] = pt, qt, val
     best = int(np.argmax(vals))
-    return float(vals[best]), (ptabs[best], qtabs[best]), int(sweeps.sum()), bool(stalled[best])
+    return float(vals[best]), (ptabs[best], qtabs[best]), int(sweeps.sum())
 
 
 def ehs_fidelity(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) -> SolveReport:
@@ -299,23 +294,28 @@ def ehs_fidelity(a: Ensemble, b: Ensemble, opts: SolverOptions | None = None) ->
     Maximizes ``sum sqrt(P(rho,sigma) Q(rho,sigma)) F(rho,sigma)`` under the
     same marginal constraints as :func:`ehs_distance`.  The ascent runs on
     the :func:`kantorovich_fidelity` solve's support and ground cost and
-    starts from its coupling; the value lies between that coupling's
-    fidelity (lower bound) and the fidelity of the ensemble averages (upper
-    bound).  ``converged`` is the returned start's stall flag, or True when
-    the bracket is at most ``tol`` wide.
+    starts from its coupling.  The bracket is the certificate the solve
+    proves: from the value, a feasible pair's, up to the least of F(avg)
+    and the AM-GM bound ``p·α + Σ_j q_j max_i w_ij²/(4α_i)`` of the plan's
+    ``row_duals`` α (inf when some α_i = 0 meets w_ij > 0), or the value
+    if higher.  ``converged`` means the bracket is at most ``tol`` wide.
     """
     opts = SolverOptions() if opts is None else opts
     upper = fidelity(average_state(a), average_state(b))
-    fk, plan = kantorovich_fidelity(a, b)
+    plan = kantorovich_fidelity(a, b).plan
     sp = plan.support
-    val, (pt, qt), sweeps, converged = _bca(sp.p, sp.q, plan.cost, plan.table, opts)
+    val, (pt, qt), sweeps = _bca(sp.p, sp.q, plan.cost, plan.table, opts)
     value = float(min(max(val, 0.0), 1.0))
-    converged = converged or upper - fk <= opts.tol
     # the block maxima's optimality: dV/dP_i = ½ Σ_j √(P_ij Q_ij) w_ij / P_i
     cells = 0.5 * np.sqrt(pt * qt) * plan.cost
     duals = [c / np.where(m > 0.0, m, 1.0) for c, m in ((cells.sum(1), sp.p), (cells.sum(0), sp.q))]
+    # AM-GM, √(P Q) w <= α P + Q w²/(4α), bounds F by p·α + Σ_j q_j max_i w²/(4α_i)
+    need, alpha = 0.25 * plan.cost**2, duals[0][:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        end = float(sp.p @ duals[0] + sp.q @ np.where(need > 0.0, need / alpha, 0.0).max(0))
+    hi = max(value, min(upper, end))
     pair = JointPair(pt, qt, sp, *duals)
-    return SolveReport(value, pair, sweeps, (fk, upper), converged, "block-ascent")
+    return SolveReport(value, pair, sweeps, (value, hi), hi - value <= opts.tol, "block-ascent")
 
 
 def ehs_bures(
@@ -338,10 +338,12 @@ def uhlmann_pure_ensembles(rho: np.ndarray, sigma: np.ndarray):
     decomposes each state into pure components.  Returns the two ensembles
     and ``sum_i a_i b_i |<psi_i|phi_i>|``, which equals ``F(rho, sigma)`` up
     to roundoff.  Rank-deficient inputs simply produce zero-weight terms,
-    which are dropped.
+    which are dropped.  Raises DimMismatch for states of two dimensions.
     """
     sr = mat_sqrt_psd(rho)
     ss = mat_sqrt_psd(sigma)
+    if sr.shape != ss.shape:
+        raise DimMismatch(f"states of shape {sr.shape} and {ss.shape}")
     u, _, vh = np.linalg.svd(sr @ ss)
     cols_p = sr @ (u @ vh)  # column i = alpha_i |psi_i>
     cols_q = ss

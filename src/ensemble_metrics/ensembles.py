@@ -69,6 +69,8 @@ def check_density(mat: np.ndarray) -> np.ndarray:
 def pure_state(vec: np.ndarray) -> np.ndarray:
     """Projector |v><v| of a (re)normalized state vector."""
     v = np.asarray(vec, dtype=complex).reshape(-1)
+    if not np.isfinite(v).all():
+        raise InvalidState("state vector entries must be finite")
     n = float(np.linalg.norm(v))
     if n == 0.0:
         raise InvalidState("zero vector has no direction")

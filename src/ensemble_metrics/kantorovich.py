@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ensembles import Ensemble, SupportPair, check_density, unify_support
-from .errors import LengthMismatch
+from .ensembles import PROB_TOL, Ensemble, SupportPair, check_density, unify_support
+from .errors import InvalidState, LengthMismatch
 from .linalg import fidelity, pairwise_block, trace_distance
 
 _RC_TOL = 1e-12
@@ -54,13 +54,14 @@ class SolveReport:
     ``plan`` is the optimal :class:`Coupling` or extended-space
     ``JointPair``; ``iterations`` counts simplex pivots, distance iterations
     or fidelity sweeps summed over all starts (each capped by ``max_iter``).
-    ``bracket`` is ``(lower, upper)`` around ``value``: the primal and dual
-    objectives of a transportation solve, or the average-state measure and
-    the coupling value.  ``converged``: the transportation bracket is at
-    most 1e-9 wide, the distance certificate gap within ``tol``, or the
-    returned fidelity start stalled before its cap.  ``status`` says what
-    ran: the simplex's ``"optimal"``, ``"degenerate-resolved"`` or
-    ``"pivot-cap"``, ``"pdhg"`` or ``"block-ascent"``.
+    ``bracket`` is ``(lower, upper)`` around ``value``, the interval the
+    solve itself certifies: the primal and dual objectives of a
+    transportation solve, or the extended-space value and the bound from
+    the dual its plan carries.  ``converged``: the bracket is at most the
+    solve's tolerance wide, 1e-9 for the simplex and ``tol`` for the
+    extended-space solvers.  ``status`` says what ran: the simplex's
+    ``"optimal"``, ``"degenerate-resolved"`` or ``"pivot-cap"``, ``"pdhg"``
+    or ``"block-ascent"``.
     """
 
     value: float
@@ -437,11 +438,16 @@ def flagged_closed_form_fidelity(
 
 def _flagged_closed_form(ps, qs, kind: str) -> float:
     """The flag closed form of ``kind``, summed pair by pair in input order;
-    the distance adds ``|p_i - q_i| / 2`` after each pair's term."""
+    the distance adds ``|p_i - q_i| / 2`` after each pair's term.  Raises
+    InvalidState for a weight that is not finite or is below -1e-8, as
+    ``make_ensemble`` does."""
     if len(ps) != len(qs):
         raise LengthMismatch(f"flag lists of length {len(ps)} and {len(qs)}")
     if not ps:
         raise LengthMismatch("flag lists are empty")
+    for w, _ in (*ps, *qs):
+        if not np.isfinite(w) or w < -PROB_TOL:
+            raise InvalidState(f"flag weight {w} is not a finite number >= 0")
     pair_measure = trace_distance if kind == "distance" else fidelity
     total = 0.0
     for (pi, rho), (qi, sigma) in zip(ps, qs):

@@ -954,8 +954,11 @@ def test_device_measures_report_whether_the_ehs_solve_converged():
     assert not fid_iso(m, n, "ehs", SolverOptions(max_iter=0)).converged
     pz = make_povm([np.outer(E0, E0), np.outer(E1, E1)])
     px = make_povm([np.outer(PLUS_V, PLUS_V), np.outer(MINUS_V, MINUS_V)])
+    assert not povm_distance(pz, px, "ehs", SolverOptions(max_iter=0)).converged
+    # the Z and X readouts' fidelity is certified before any sweep
+    start = povm_fidelity(pz, px, "ehs", SolverOptions(max_iter=0))
+    assert start.converged and start.bracket[0] == start.bracket[1]
     for device in (povm_distance, povm_fidelity):
-        assert not device(pz, px, "ehs", SolverOptions(max_iter=0)).converged
         assert device(pz, px, "ehs").converged
 
 

@@ -27,7 +27,7 @@ from ensemble_metrics.ensembles import (
 )
 from ensemble_metrics.channels import WorstCaseOptions
 from ensemble_metrics.cli import _sig12
-from ensemble_metrics.errors import InvalidParams, NotPure
+from ensemble_metrics.errors import DimMismatch, InvalidParams, NotPure
 from ensemble_metrics.kantorovich import (
     SolveReport,
     kantorovich_distance,
@@ -122,12 +122,15 @@ def test_distance_report_contract():
     b = random_ensemble(2, 2, seed=62)
     rep = ehs_distance(a, b)
     lower, upper = rep.bracket
-    assert abs(lower - trace_distance(average_state(a), average_state(b))) <= 1e-12
-    assert abs(upper - kantorovich_distance(a, b)[0]) <= 1e-12
+    sp = unify_support(a, b)
+    avg = trace_distance(average_state(a), average_state(b))
+    bound = sp.p @ rep.plan.row_duals + sp.q @ rep.plan.col_duals
+    assert abs(lower - min(max(avg, bound), rep.value)) <= 1e-12
+    assert abs(upper - rep.value) <= 1e-12
+    assert upper <= kantorovich_distance(a, b)[0] + 1e-12
     assert lower - 1e-12 <= rep.value <= upper + 1e-12
     assert rep.converged
     assert rep.iterations >= 1
-    sp = unify_support(a, b)
     tp, tq = rep.plan.p_table, rep.plan.q_table
     assert tp.min() >= -1e-12 and tq.min() >= -1e-12
     assert np.abs(tp.sum(axis=1) - sp.p).max() <= 1e-9
@@ -139,10 +142,70 @@ def test_fidelity_report_contract():
     b = random_ensemble(2, 2, seed=62)
     rep = ehs_fidelity(a, b)
     lower, upper = rep.bracket
-    assert abs(lower - kantorovich_fidelity(a, b)[0]) <= 1e-12
-    assert abs(upper - fidelity(average_state(a), average_state(b))) <= 1e-12
+    avg = fidelity(average_state(a), average_state(b))
+    assert abs(lower - rep.value) <= 1e-12
+    assert abs(upper - max(rep.value, min(avg, _ascent_end(a, b, rep.plan)))) <= 1e-12
+    assert lower >= kantorovich_fidelity(a, b)[0] - 1e-12
     assert lower - 1e-12 <= rep.value <= upper + 1e-12
     assert rep.converged
+
+
+def _ascent_end(a, b, plan):
+    """The AM-GM upper end of the ascent's plan, column by column:
+    ``p·α + Σ_j q_j max_i w_ij² / (4 α_i)`` over the cells with mass, with
+    ``α`` the plan's row duals and ``w`` the pairwise fidelity."""
+    sp, alpha = plan.support, plan.row_duals
+    end = float(sp.p @ alpha)
+    for j, y in enumerate(sp.omega):
+        need = [fidelity(x, y) ** 2 / 4.0 if sp.p[i] > 0.0 else 0.0 for i, x in enumerate(sp.omega)]
+        worst = [np.inf if alpha[i] == 0.0 else need[i] / alpha[i] for i in range(len(need)) if need[i] > 0.0]
+        end += sp.q[j] * max(worst, default=0.0) if sp.q[j] > 0.0 else 0.0
+    return end
+
+
+def _certificate_pairs():
+    """Random pairs (d 2 and 3, 2-4 states a side, some pure), and a qutrit
+    pair whose coupling start leaves the row of |0> on a cell of fidelity 0
+    beside one of fidelity about 1e-3: at ``max_iter=0`` that row's dual is
+    0, and its AM-GM end is infinite."""
+    for seed in range(6):
+        rank = 1 if seed % 3 == 0 else None
+        yield (random_ensemble(2 + seed % 2, 2 + seed % 3, seed=seed, rank=rank),
+               random_ensemble(2 + seed % 2, 4 - seed % 3, seed=100 + seed, rank=rank))
+    psi = pure_state(np.array([1e-3, 1e-3, 1.0]))
+    e = np.eye(3)
+    yield (make_ensemble([(0.5, pure_state(e[0])), (0.5, psi)]),
+           make_ensemble([(0.5, pure_state(e[1])), (0.5, psi)]))
+
+
+def test_each_bracket_is_the_certificate_its_plan_proves():
+    # both ends rebuilt from the plan: the distance's dual bound from its
+    # row and column duals, the fidelity's AM-GM end from its row duals; a
+    # lower end sits below every feasible value of the same pair, an upper
+    # end above it
+    for a, b in _certificate_pairs():
+        sp = unify_support(a, b)
+        dists, fids = [], []
+        for opts in (SolverOptions(max_iter=0), SolverOptions(max_iter=7), SolverOptions()):
+            dist, fid = ehs_distance(a, b, opts), ehs_fidelity(a, b, opts)
+
+            avg = trace_distance(average_state(a), average_state(b))
+            bound = sp.p @ dist.plan.row_duals + sp.q @ dist.plan.col_duals
+            assert dist.bracket == (min(max(avg, bound), dist.value), dist.value)
+
+            avg = fidelity(average_state(a), average_state(b))
+            assert fid.bracket[0] == fid.value
+            want = max(fid.value, min(avg, _ascent_end(a, b, fid.plan)))
+            assert fid.bracket[1] == pytest.approx(want, abs=1e-12)
+
+            for rep in (dist, fid):
+                lo, hi = rep.bracket
+                assert lo <= rep.value <= hi
+                assert rep.converged == (hi - lo <= opts.tol), rep
+            dists.append(dist)
+            fids.append(fid)
+        assert max(r.bracket[0] for r in dists) <= min(r.value for r in dists) + 1e-12
+        assert max(r.value for r in fids) <= min(r.bracket[1] for r in fids) + 1e-12
 
 
 def test_identical_ensembles():
@@ -169,10 +232,9 @@ def test_fidelity_ascent_reports_the_start_it_returns():
     p = q = np.array([0.5, 0.5])
     w = np.array([[1.0, 0.999], [0.999, 1.0]])
     table = np.array([[0.0, 0.5], [0.5, 0.0]])
-    val, _, sweeps, converged = ehs._bca(p, q, w, table, SolverOptions(max_iter=2000, restarts=0))
+    val, _, sweeps = ehs._bca(p, q, w, table, SolverOptions(max_iter=2000, restarts=0))
     assert sweeps == 1 + 2000
     assert val > 0.999 + 1e-4
-    assert not converged
 
 
 def _ascent_one_start_at_a_time(p, q, w, table, opts):
@@ -199,10 +261,9 @@ def _ascent_one_start_at_a_time(p, q, w, table, opts):
     def value_of(pt, qt):
         return float(np.sum(np.sqrt(pt * qt) * w))
 
-    best_val, best, total_sweeps, converged = -np.inf, None, 0, False
+    best_val, best, total_sweeps = -np.inf, None, 0
     for pt, qt in starts:
         val = value_of(pt, qt)
-        stalled = False
         for _ in range(opts.max_iter):
             total_sweeps += 1
             pt = rescale_rows(qt * w2, p)
@@ -210,12 +271,11 @@ def _ascent_one_start_at_a_time(p, q, w, table, opts):
             new_val = value_of(pt, qt)
             if new_val - val < 1e-10:
                 val = max(val, new_val)
-                stalled = True
                 break
             val = new_val
         if val > best_val:
-            best_val, best, converged = val, (pt, qt), stalled
-    return best_val, best, total_sweeps, converged
+            best_val, best = val, (pt, qt)
+    return best_val, best, total_sweeps
 
 
 def test_lockstep_ascent_equals_the_starts_run_one_at_a_time():
@@ -243,7 +303,7 @@ def test_lockstep_ascent_equals_the_starts_run_one_at_a_time():
             assert got[0] == want[0]
             assert np.array_equal(got[1][0], want[1][0])
             assert np.array_equal(got[1][1], want[1][1])
-            assert (got[2], got[3]) == (want[2], want[3])
+            assert got[2] == want[2]
 
 
 def test_distance_iteration_trajectory_of_the_kept_benchmark_fault():
@@ -264,7 +324,8 @@ def test_distance_iteration_trajectory_of_the_kept_benchmark_fault():
     b = make_ensemble(list(zip(rng.dirichlet(np.ones(2)), sb)))
     rep = ehs_distance(a, b)
     assert _sig12(rep.value) == 0.743323140732
-    assert [_sig12(x) for x in rep.bracket] == [0.724187146345, 0.745041717382]
+    assert [_sig12(x) for x in rep.bracket] == [0.743206695411, 0.743323140732]
+    assert rep.bracket[1] - rep.bracket[0] > SolverOptions().tol
     assert rep.iterations == 5000
     assert rep.converged is False
 
@@ -356,6 +417,11 @@ def test_uhlmann_pure_ensembles_overlap():
         assert abs(overlap - fidelity(rho, sigma)) <= 1e-9
         assert np.abs(average_state(ens_p) - rho).max() <= 1e-9
         assert np.abs(average_state(ens_q) - sigma).max() <= 1e-9
+
+
+def test_uhlmann_pure_ensembles_rejects_states_of_two_dimensions():
+    with pytest.raises(DimMismatch):
+        uhlmann_pure_ensembles(random_density(2, seed=1), random_density(3, seed=2))
 
 
 def test_pure_ensemble_fidelity_achieves_state_fidelity():

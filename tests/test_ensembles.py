@@ -52,6 +52,12 @@ def test_pure_state_normalizes():
         pure_state(np.zeros(3))
 
 
+@pytest.mark.parametrize("vec", [[np.nan, 0.0], [np.inf, 1.0], [1.0, complex(0.0, np.nan)]])
+def test_pure_state_rejects_a_vector_that_is_not_finite(vec):
+    with pytest.raises(InvalidState, match="finite"):
+        pure_state(np.array(vec))
+
+
 def test_make_ensemble_merges_duplicates():
     ens = make_ensemble([(0.25, KET0), (0.25, KET0.copy()), (0.5, KET1)])
     assert ens.size == 2

@@ -280,6 +280,19 @@ def test_flagged_closed_form_errors():
             closed_form(ps, qs)
 
 
+@pytest.mark.parametrize("closed_form", [flagged_closed_form_distance, flagged_closed_form_fidelity])
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -0.5, -2e-8])
+def test_flagged_closed_forms_reject_weights_make_ensemble_rejects(closed_form, weight):
+    with pytest.raises(InvalidState, match="flag weight"):
+        closed_form([(weight, KET0)], [(1.0, KET1)])
+    with pytest.raises(InvalidState, match="flag weight"):
+        closed_form([(1.0, KET0)], [(weight, KET1)])
+    with pytest.raises(InvalidState):
+        make_ensemble([(weight, KET0), (1.0, KET1)])
+    # a weight within 1e-8 below zero passes, as it does in make_ensemble
+    assert np.isfinite(closed_form([(-5e-9, KET0)], [(1.0, KET1)]))
+
+
 def test_triangle_inequality_small_batch():
     for seed in range(10):
         a = random_ensemble(2, 2, seed=300 + seed)
