@@ -44,13 +44,6 @@ def flag(ens, dim_flags):
     return make_ensemble(pairs)
 
 
-def push(m, ens):
-    pairs = []
-    for p, state in ens:
-        pairs.extend((p * w, s) for w, s in apply_measurement(m, state))
-    return make_ensemble(pairs)
-
-
 def main() -> None:
     print("bracket on random pairs:")
     for seed in range(5):
@@ -84,7 +77,7 @@ def main() -> None:
             for i in range(2)
         ]
     )
-    after, _ = kantorovich_distance(push(readout, a), push(readout, b))
+    after, _ = kantorovich_distance(apply_measurement(readout, a), apply_measurement(readout, b))
     print(f"  before flag readout {before:.6f}")
     print(f"  after  flag readout {after:.6f}")
 

@@ -297,19 +297,28 @@ def _choi_states(m: GeneralizedMeasurement) -> np.ndarray:
     return _post_states(m, m.kraus.swapaxes(1, 2).reshape(-1, d * d, 1) / np.sqrt(d))
 
 
-def apply_measurement(m: GeneralizedMeasurement, rho: np.ndarray) -> Ensemble:
-    """Output ensemble ``{(m_i Tr Mbar_i(rho), Mbar_i(rho) normalized)}`` of a
-    density matrix ``rho`` (valid to 1e-10, checked once).
+def apply_measurement(m: GeneralizedMeasurement, x) -> Ensemble:
+    """Output ensemble ``{(p_k m_i Tr Mbar_i(ρ_k), Mbar_i(ρ_k) normalized)}``
+    of an ensemble ``x``, a density matrix being the one-state ensemble
+    (valid to 1e-10, checked once); a channel of Kraus list ``K`` is the
+    measurement ``make_measurement([(1.0, K)])``.
 
-    Each post-state is built from the factors ``Mbar_ij √rho``, so it is a
-    density matrix by construction.  Zero-probability outcomes are dropped
-    and identical post-states merge; the ensemble's ``index`` gives, for
-    each outcome, the state it went into, or -1.
+    Pair ``(k, i)`` is outcome ``k · len(m) + i`` of one stack, and its
+    post-state is built from the factors ``Mbar_ij √ρ_k``, so it is a
+    density matrix by construction.  Zero-probability pairs are dropped
+    and near-equal post-states merge; ``index`` gives, for each pair in
+    that state-major order, the state it went into, or -1.
     """
-    rho = check_density(rho)
-    if rho.shape[0] != m.dim:
-        raise DimMismatch(f"state dim {rho.shape[0]}, measurement dim {m.dim}")
-    return _outcome_ensembles(m.weights, _post_states(m, m.kraus @ mat_sqrt_psd(rho)))[0]
+    ens = x if isinstance(x, Ensemble) else Ensemble(check_density(x)[None], np.ones(1))
+    if ens.dim != m.dim:
+        raise DimMismatch(f"state dim {ens.dim}, measurement dim {m.dim}")
+    pairs = GeneralizedMeasurement(  # a container: its outcomes repeat unmerged
+        np.outer(ens.probs, m.weights).reshape(-1),
+        np.tile(m.kraus, (ens.size, 1, 1)),
+        (len(m) * np.arange(ens.size)[:, None] + m.owner).reshape(-1),
+    )
+    factors = pairs.kraus @ np.repeat(mat_sqrt_psd(ens.states), len(m.kraus), axis=0)
+    return _outcome_ensembles(pairs.weights, _post_states(pairs, factors))[0]
 
 
 def _lifted(m: GeneralizedMeasurement, a_dim: int) -> GeneralizedMeasurement:

@@ -363,8 +363,11 @@ def pure_ensemble_fidelity(
     ensembles, whose pairwise fidelity is the overlap ``|<psi|phi>|``, as
     its report.
 
-    Raises NotPure when any state has purity ``Tr rho²`` below ``1 - 1e-8``.
+    Raises DimMismatch for ensembles of two dimensions, and NotPure when
+    any state has purity ``Tr rho²`` below ``1 - 1e-8``.
     """
+    if a.dim != b.dim:
+        raise DimMismatch(f"ensembles of dimension {a.dim} and {b.dim}")
     states = np.concatenate([a.states, b.states])
     purity = float(np.min(np.einsum("kij,kji->k", states, states).real))
     if purity < 1.0 - _PURITY_TOL:

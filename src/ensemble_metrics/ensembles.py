@@ -67,11 +67,20 @@ def check_density(mat: np.ndarray) -> np.ndarray:
 
 
 def pure_state(vec: np.ndarray) -> np.ndarray:
-    """Projector |v><v| of a (re)normalized state vector."""
+    """Projector |v><v| of a (re)normalized state vector.  A vector whose
+    norm lies outside [1e-150, 1e150], where its squared entries may
+    overflow or underflow, is first divided by its largest real or
+    imaginary part."""
     v = np.asarray(vec, dtype=complex).reshape(-1)
     if not np.isfinite(v).all():
         raise InvalidState("state vector entries must be finite")
-    n = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(v))
+    if not 1e-150 <= n <= 1e150 and v.any():
+        parts = np.stack([v.real, v.imag])  # a complex division would overflow
+        parts /= np.abs(parts).max()
+        v = parts[0] + 1j * parts[1]
+        n = float(np.linalg.norm(v))
     if n == 0.0:
         raise InvalidState("zero vector has no direction")
     v = v / n

@@ -3,8 +3,9 @@
 Everything here is algorithmically independent of the production paths it
 checks: the transportation optimum is recomputed by enumerating polytope
 vertices, the distance values are replayed as discrimination games, and
-analytic (sub)gradients are compared against finite differences.  Production
-modules never import this one.
+analytic (sub)gradients are compared against finite differences.  Of the
+package's modules, only ``selftest`` imports this one, so importing the
+package or its command line leaves it unloaded.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from .channels import dist_iso, dist_max, jamiolkowski_ensemble, projective_measurement
+from .channels import apply_measurement, jamiolkowski_ensemble
 from .ehs import (
     JointPair,
     distance_objective,
@@ -40,16 +40,6 @@ from .oracle import (
     simulate_ehs_game,
     simulate_kantorovich_game,
 )
-
-
-def _apply_to_ensemble(measurement, ens):
-    from .channels import apply_measurement
-
-    pairs = []
-    for p, state in ens:
-        out = apply_measurement(measurement, state)
-        pairs.extend((p * w, s) for w, s in out)
-    return make_ensemble(pairs)
 
 
 def _basis_density(d: int, k: int) -> np.ndarray:
@@ -160,8 +150,8 @@ def check_measurement_monotonicity():
         a = random_ensemble(2, 2, seed=7000 + seed)
         b = random_ensemble(2, 2, seed=8000 + seed)
         meas = random_measurement(2, 2, seed=9000 + seed)
-        ma = _apply_to_ensemble(meas, a)
-        mb = _apply_to_ensemble(meas, b)
+        ma = apply_measurement(meas, a)
+        mb = apply_measurement(meas, b)
         de0 = ehs_distance(a, b).value
         de1 = ehs_distance(ma, mb).value
         fe0 = ehs_fidelity(a, b).value
@@ -249,7 +239,7 @@ def check_choi_marginals():
 
 
 def check_worst_case_floor():
-    from .channels import WorstCaseOptions
+    from .channels import WorstCaseOptions, dist_iso, dist_max, projective_measurement
 
     z = projective_measurement([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
     x = projective_measurement(

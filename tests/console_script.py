@@ -38,11 +38,17 @@ def entry_point_argv():
     return [sys.executable, "-c", code]
 
 
-def run_console_script(*args, cwd=None):
-    """Run ``ensemble-metrics *args`` as a separate process and capture its output."""
+def child_env():
+    """The environment of a child interpreter that imports the same
+    ``ensemble_metrics`` as this process, with no seed override."""
     env = {k: v for k, v in os.environ.items() if k != SEED_ENV}
     package_root = str(Path(ensemble_metrics.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_console_script(*args, cwd=None):
+    """Run ``ensemble-metrics *args`` as a separate process and capture its output."""
     return subprocess.run(
-        [*entry_point_argv(), *map(str, args)], capture_output=True, env=env, cwd=cwd
+        [*entry_point_argv(), *map(str, args)], capture_output=True, env=child_env(), cwd=cwd
     )

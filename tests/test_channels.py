@@ -55,7 +55,7 @@ from ensemble_metrics.linalg import (
     tensor,
     trace_distance,
 )
-from ensemble_metrics.oracle import random_density, random_measurement, random_unitary
+from ensemble_metrics.oracle import random_cptp, random_density, random_measurement, random_unitary
 
 E0 = np.array([1.0, 0.0])
 E1 = np.array([0.0, 1.0])
@@ -69,14 +69,6 @@ def _z_meas():
 
 def _x_meas():
     return projective_measurement([PLUS_V, MINUS_V])
-
-
-def _apply_to_ensemble(measurement, ens):
-    pairs = []
-    for p, state in ens:
-        out = apply_measurement(measurement, state)
-        pairs.extend((p * w, s) for w, s in out)
-    return make_ensemble(pairs)
 
 
 def test_projective_measurement_shape():
@@ -314,6 +306,72 @@ def test_apply_measurement_checks_the_input_trace_to_1e_10():
         apply_measurement(m, np.diag([0.5, 0.5 + 5e-9]))
 
 
+def _per_state_reference(m, ens):
+    """The output ensemble of ``m`` on ``ens`` one state at a time, every
+    post-state re-validated by make_ensemble: the reference for the stacked
+    pairs of apply_measurement."""
+    pairs = []
+    for p, state in ens:
+        pairs.extend((p * w, s) for w, s in apply_measurement(m, state))
+    return make_ensemble(pairs)
+
+
+def test_apply_measurement_on_ensembles_matches_the_per_state_reference():
+    rng = np.random.default_rng(29)
+    for trial in range(60):
+        d, size, kraus = int(rng.integers(2, 5)), int(rng.integers(1, 5)), int(rng.integers(1, 3))
+        m = random_measurement(d, int(rng.integers(2, 4)), seed=trial, kraus_per_outcome=kraus)
+        ens = make_ensemble(
+            (p, random_density(d, rank=int(rng.integers(1, d + 1)), seed=500 + 10 * trial + k))
+            for k, p in enumerate(rng.dirichlet(np.ones(size)))
+        )
+        got, want = apply_measurement(m, ens), _per_state_reference(m, ens)
+        assert got.size == want.size, f"trial={trial}"
+        assert np.abs(got.probs - want.probs).max() <= 1e-12, f"trial={trial}"
+        assert np.abs(got.states - want.states).max() <= 1e-12, f"trial={trial}"
+
+
+def test_apply_measurement_index_is_state_major():
+    # Z on |0>, |1> and |+>: pair (k, i) sits at 2k + i; |0> and |1> each
+    # drop one outcome, and both outcomes of |+> merge into their states
+    ens = make_ensemble(
+        [(0.5, pure_state(E0)), (0.25, pure_state(E1)), (0.25, pure_state(PLUS_V))]
+    )
+    out = apply_measurement(_z_meas(), ens)
+    assert list(out.index) == [0, -1, -1, 1, 0, 1]
+    assert np.allclose(out.probs, [0.625, 0.375], atol=1e-15)
+
+
+def test_apply_measurement_on_a_one_state_ensemble_is_the_matrix_call():
+    for seed in range(10):
+        d = 2 + seed % 3
+        m = random_measurement(d, 3, seed=seed, kraus_per_outcome=1 + seed % 2)
+        rho = random_density(d, rank=1 + seed % d, seed=seed)
+        got, want = apply_measurement(m, make_ensemble([(1.0, rho)])), apply_measurement(m, rho)
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.probs.tobytes() == want.probs.tobytes()
+        assert np.array_equal(got.index, want.index)
+
+
+def test_apply_measurement_rejects_an_ensemble_of_another_dimension():
+    with pytest.raises(DimMismatch):
+        apply_measurement(_z_meas(), make_ensemble([(1.0, np.eye(3) / 3)]))
+
+
+def test_a_channel_is_the_one_outcome_measurement():
+    for seed in range(10):
+        kraus = random_cptp(3, 3, 1 + seed % 3, seed=seed)
+        probs = np.random.default_rng(seed).dirichlet(np.ones(3))
+        ens = make_ensemble(
+            (p, random_density(3, seed=50 + 3 * seed + k)) for k, p in enumerate(probs)
+        )
+        out = apply_measurement(make_measurement([(1.0, kraus)]), ens)
+        assert list(out.index) == [0, 1, 2]
+        assert np.abs(out.probs - ens.probs).max() <= 1e-12
+        for got, rho in zip(out.states, ens.states):
+            assert np.abs(got - sum(k @ rho @ k.conj().T for k in kraus)).max() <= 1e-12
+
+
 @pytest.mark.parametrize("seed", [1, 2, 5])
 def test_score_checks_outcomes_of_roundoff_probability(seed):
     # at a basis vector of a rotated projective measurement the other
@@ -448,7 +506,7 @@ def test_compose_measurements_matches_sequential_application():
         both = compose_measurements(second, first)
         rho = random_density(2, seed=90 + seed)
         via_composite = apply_measurement(both, rho)
-        via_sequence = _apply_to_ensemble(second, apply_measurement(first, rho))
+        via_sequence = apply_measurement(second, apply_measurement(first, rho))
         sp = unify_support(via_composite, via_sequence)
         assert np.abs(sp.p - sp.q).max() <= 1e-9, f"seed={seed}"
 

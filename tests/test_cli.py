@@ -68,6 +68,7 @@ def test_reports_match_goldens(name, argv, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
+    json.loads(out)  # every report is machine readable
 
 
 def test_console_script_prints_golden_bytes():

@@ -452,6 +452,13 @@ def test_pure_ensemble_fidelity_keeps_its_purity_threshold():
         pure_ensemble_fidelity(nearly_pure(1e-8), nearly_pure(0.0))
 
 
+def test_pure_ensemble_fidelity_rejects_ensembles_of_two_dimensions():
+    a = make_ensemble([(1.0, pure_state(np.array([1.0, 0.0])))])
+    b = make_ensemble([(1.0, pure_state(np.array([1.0, 0.0, 0.0])))])
+    with pytest.raises(DimMismatch, match="dimension 2 and 3"):
+        pure_ensemble_fidelity(a, b)
+
+
 def test_pure_ensemble_fidelity_rejects_mixed():
     mixed = make_ensemble([(1.0, np.eye(2) / 2)])
     with pytest.raises(NotPure):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,17 @@ def test_pure_state_normalizes():
     assert abs(np.trace(pure_state(np.array([1.0, 1j, 0.5]))) - 1.0) <= 1e-14
     with pytest.raises(InvalidState):
         pure_state(np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "vec", [[1e308, 1e308], [1e200, 2e200], [1e-160, 1e-170], [3e-200, 4e-200], [1e-320, 0.0]]
+)
+def test_pure_state_is_a_unit_projector_where_squared_entries_over_or_underflow(vec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = pure_state(np.array(vec))
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert np.abs(rho @ rho - rho).max() <= 1e-12
 
 
 @pytest.mark.parametrize("vec", [[np.nan, 0.0], [np.inf, 1.0], [1.0, complex(0.0, np.nan)]])

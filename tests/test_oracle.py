@@ -1,5 +1,12 @@
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import ensemble_metrics
 
 from ensemble_metrics.ehs import (
     JointPair,
@@ -27,6 +34,8 @@ from ensemble_metrics.oracle import (
     simulate_ehs_game,
     simulate_kantorovich_game,
 )
+
+from console_script import child_env
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -226,3 +235,33 @@ def test_random_pure_decomposition_reconstructs():
         assert abs(np.trace(s @ s).real - 1.0) <= 1e-10
     with pytest.raises(InvalidParams):
         random_pure_decomposition(rho, 2)
+
+
+def _imported_names(path):
+    """Every dotted segment of every module that ``path`` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    return {part for name in names for part in name.split(".")}
+
+
+def test_production_imports_leave_out_scipy_oracle_and_selftest():
+    # what a CLI start loads, in a fresh interpreter
+    code = "import sys, ensemble_metrics, ensemble_metrics.cli; print(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=child_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    loaded = proc.stdout.decode().split()
+    assert "ensemble_metrics.cli" in loaded
+    assert not [name for name in loaded if name == "scipy" or name.startswith("scipy.")]
+    assert "ensemble_metrics.oracle" not in loaded
+    assert "ensemble_metrics.selftest" not in loaded
+    # the self-test is the one module of the package that imports the verifiers
+    package = Path(ensemble_metrics.__file__).resolve().parent
+    importers = [p.name for p in package.rglob("*.py") if "oracle" in _imported_names(p)]
+    assert importers == ["selftest.py"]
