@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -75,18 +76,31 @@ def _num(node, path: str) -> float:
     return value
 
 
-def _parse_matrix(node, path: str, dim: int) -> np.ndarray:
-    """A ``dim × dim`` matrix of ``[re, im]`` pairs.  A well-formed one of
-    finite JSON numbers converts in one call; anything else takes the
-    entry-by-entry walk, which names the first bad field."""
+def _convert(nodes: list, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``nodes`` as one float array of ``shape``, converted in one call, when
+    they are nested lists of finite JSON numbers of that shape; else None."""
+    leaves = iter(nodes)
+    for _ in shape[1:]:
+        leaves = itertools.chain.from_iterable(leaves)
     try:
-        if set(map(type, (x for row in node for cell in row for x in cell))) <= {int, float}:
-            out = np.array(node, dtype=float)
-            if out.shape == (dim, dim, 2) and np.isfinite(out).all():
-                return out.view(complex).reshape(dim, dim)
+        if set(map(type, leaves)) <= {int, float}:
+            out = np.array(nodes, dtype=float)
+            if out.shape == shape and np.isfinite(out).all():
+                return out
     except (TypeError, ValueError, OverflowError):
-        pass  # malformed: the walk names the field
-    return _walk_matrix(node, path, dim)
+        pass  # malformed: the caller's walk names the field
+    return None
+
+
+def _parse_stack(nodes: list, path, dim: int) -> np.ndarray:
+    """The ``dim × dim`` matrices of ``[re, im]`` pairs in ``nodes`` as one
+    ``(len(nodes), dim, dim)`` complex stack.  A well-formed list converts
+    in one call; anything else takes the entry-by-entry walk, which names
+    the first bad field, matrix ``j`` being at ``path(j)``."""
+    out = _convert(nodes, (len(nodes), dim, dim, 2))
+    if out is None:
+        return np.array([_walk_matrix(node, path(j), dim) for j, node in enumerate(nodes)])
+    return out.view(complex).reshape(len(nodes), dim, dim)
 
 
 def _walk_matrix(node, path: str, dim: int) -> np.ndarray:
@@ -121,14 +135,21 @@ def parse_ensemble(doc, label: str = "ensemble") -> Ensemble:
     states = doc.get("states")
     if not isinstance(states, list) or not states:
         raise ParseError(f"{label}.states: expected a non-empty list")
-    pairs = []
-    for k, entry in enumerate(states):
-        here = f"{label}.states[{k}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{here}: expected an object")
-        prob = _num(entry.get("p"), f"{here}.p")
-        rho = _parse_matrix(entry.get("rho"), f"{here}.rho", dim)
-        pairs.append((prob, rho))
+    probs = None
+    if all(isinstance(entry, dict) for entry in states):
+        probs = _convert([entry.get("p") for entry in states], (len(states),))
+    if probs is not None:
+        rhos = [entry.get("rho") for entry in states]
+        stack = _parse_stack(rhos, lambda k: f"{label}.states[{k}].rho", dim)
+        pairs = list(zip(probs.tolist(), stack))
+    else:  # an entry or a weight is malformed: walk in order to name the first
+        pairs = []
+        for k, entry in enumerate(states):
+            here = f"{label}.states[{k}]"
+            if not isinstance(entry, dict):
+                raise ParseError(f"{here}: expected an object")
+            prob = _num(entry.get("p"), f"{here}.p")
+            pairs.append((prob, _walk_matrix(entry.get("rho"), f"{here}.rho", dim)))
     try:
         return make_ensemble(pairs)
     except EnsembleMetricsError as exc:
@@ -149,10 +170,7 @@ def parse_measurement(doc, label: str = "measurement") -> GeneralizedMeasurement
         kraus = entry.get("kraus")
         if not isinstance(kraus, list) or not kraus:
             raise ParseError(f"{here}.kraus: expected a non-empty list")
-        mats = [
-            _parse_matrix(m, f"{here}.kraus[{j}]", dim) for j, m in enumerate(kraus)
-        ]
-        pairs.append((weight, mats))
+        pairs.append((weight, _parse_stack(kraus, lambda j: f"{here}.kraus[{j}]", dim)))
     return make_measurement(pairs)  # InvalidMeasurement propagates (exit 5)
 
 
@@ -161,9 +179,7 @@ def parse_povm(doc, label: str = "povm") -> Povm:
     elements = doc.get("elements")
     if not isinstance(elements, list) or not elements:
         raise ParseError(f"{label}.elements: expected a non-empty list")
-    mats = [
-        _parse_matrix(m, f"{label}.elements[{j}]", dim) for j, m in enumerate(elements)
-    ]
+    mats = _parse_stack(elements, lambda j: f"{label}.elements[{j}]", dim)
     return make_povm(mats)  # InvalidPovm propagates (exit 5)
 
 

@@ -7,6 +7,7 @@ agree up to 1e-9 are merged on construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -70,8 +71,12 @@ def pure_state(vec: np.ndarray) -> np.ndarray:
     """Projector |v><v| of a (re)normalized state vector.  A vector whose
     norm lies outside [1e-150, 1e150], where its squared entries may
     overflow or underflow, is first divided by its largest real or
-    imaginary part."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
+    imaginary part.  Raises DimMismatch for anything but a vector or a
+    single row or column."""
+    v = np.asarray(vec, dtype=complex)
+    if not (v.ndim == 1 or v.ndim == 2 and 1 in v.shape):
+        raise DimMismatch(f"expected a state vector, got shape {v.shape}")
+    v = v.reshape(-1)
     if not np.isfinite(v).all():
         raise InvalidState("state vector entries must be finite")
     with np.errstate(over="ignore"):
@@ -205,7 +210,7 @@ def make_ensemble(pairs: Iterable[tuple[float, np.ndarray]]) -> Ensemble:
     for k, (p, mat) in enumerate(pairs):
         try:
             p = float(p)
-            if not np.isfinite(p):
+            if not math.isfinite(p):
                 raise InvalidState(f"non-finite probability {p}")
             if p < -PROB_TOL:
                 raise InvalidState(f"negative probability {p}")

@@ -3,11 +3,14 @@
 The coupling problem is a transportation linear program: optimize
 ``sum_ij table[i,j] * cost[i,j]`` over nonnegative tables with prescribed row
 and column sums.  It is solved exactly with the network simplex.  The basis
-is a spanning tree of the bipartite row / column graph, started from the
-northwest corner and kept strongly feasible, so pricing by the most negative
-reduced cost cannot cycle.  Potentials are updated on the re-hung subtree
-only, and recomputed from scratch before optimality is declared; their dual
-objective, made feasible, and the value bracket the optimum.
+is a spanning tree of the bipartite row / column graph, kept strongly
+feasible, so pricing by the most negative reduced cost cannot cycle.  It
+starts from the least-cost tree, which fills the cells in ascending cost, on
+a table of more than two rows or columns where that tree is strongly
+feasible, and from the northwest-corner staircase otherwise.  Potentials are
+updated on the re-hung subtree only, and recomputed from scratch before
+optimality is declared; their dual objective, made feasible, and the value
+bracket the optimum.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ _RC_TOL = 1e-12
 _PIVOT_CAP = 20000
 # the widest bracket of a transportation solve that counts as converged
 _GAP_TOL = 1e-9
+# the largest cost magnitude priced: a potential sums up to m+n-1 costs
+_COST_MAX = 1e300
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,14 +98,21 @@ def transportation_lp(
     ``"pivot-cap"`` when the simplex stopped at its cap of 20000 pivots
     short of optimal: the table is then a feasible vertex and the bracket,
     still holding the optimum, is open.
+
+    Raises ValueError for complex marginals or cost, for a cost entry that
+    is not finite or exceeds 1e300 in magnitude (its potentials could
+    overflow), and for marginals that are not finite, are negative or do
+    not each sum to 1.
     """
+    if any(map(np.iscomplexobj, (p, q, cost))):
+        raise ValueError("marginals and cost must be real")
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     cost = np.asarray(cost, dtype=float)
     if cost.shape != (len(p), len(q)):
         raise LengthMismatch(f"cost shape {cost.shape} vs marginals {(len(p), len(q))}")
-    if not np.isfinite(cost).all():
-        raise ValueError("cost entries must be finite")
+    if not np.abs(cost).max(initial=0.0) <= _COST_MAX:
+        raise ValueError(f"cost entries must be finite and at most {_COST_MAX:g} in magnitude")
     # a sum is finite only when every term is
     total_p, total_q = p.sum(), q.sum()
     if not (np.isfinite(total_p) and np.isfinite(total_q)) and not (
@@ -135,7 +147,9 @@ def transportation_lp(
 
 
 def _northwest_corner(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[float]]:
-    """Initial basis: the m+n-1 cells of the northwest-corner staircase.
+    """The northwest-corner staircase, :func:`_start`'s tree on at most two
+    rows and two columns and where the least-cost tree is not strongly
+    feasible.
 
     Nodes are the rows ``0..m-1`` and then the columns ``m..m+n-1``.  The
     basis is a tree rooted at row 0, given as ``parent`` pointers and, for
@@ -169,6 +183,74 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[flo
     return parent, flow
 
 
+def _least_cost(
+    a: np.ndarray, b: np.ndarray, cost: np.ndarray
+) -> tuple[list[int], list[float]] | None:
+    """The least-cost (matrix-minimum) tree, given as
+    :func:`_northwest_corner` gives its tree, or None when it is not
+    strongly feasible.
+
+    The cells are visited in ascending cost, ties in row-major order; each
+    whose row and column are both open takes the mass both have left.  Each
+    cell then closes one line, as a staircase step does: the row when it is
+    not the last open row and either its mass is used up first or its
+    column is the last open one, else the column.  So the m+n-1 cells filled
+    span the rows and columns.  The tree is rooted at row 0 and is kept
+    only if no zero-flow cell hangs a column from its row; a zero-flow
+    cell comes from a row and a column used up at once, by a tie of the
+    masses they have left.
+    """
+    m, n = cost.shape
+    ai, bj = a.tolist(), b.tolist()
+    row_open, col_open = [True] * m, [True] * n
+    rows_left, cols_left = m, n
+    adjacent: list[list[tuple[int, float]]] = [[] for _ in range(m + n)]
+    filled = 0
+    rows, cols = np.divmod(np.argsort(cost, axis=None, kind="stable"), n)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if not (row_open[i] and col_open[j]):
+            continue
+        t = min(ai[i], bj[j])
+        ai[i] -= t
+        bj[j] -= t
+        adjacent[i].append((m + j, t))
+        adjacent[m + j].append((i, t))
+        filled += 1
+        if filled == m + n - 1:
+            break
+        if rows_left > 1 and (cols_left == 1 or ai[i] <= bj[j]):
+            row_open[i] = False
+            rows_left -= 1
+        else:
+            col_open[j] = False
+            cols_left -= 1
+    parent = [-1] * (m + n)
+    flow = [0.0] * (m + n)
+    order = [0]
+    for x in order:
+        for y, t in adjacent[x]:
+            if y != parent[x]:
+                if t == 0.0 and y >= m:
+                    return None  # a column hung from its row by a zero-flow cell
+                parent[y], flow[y] = x, t
+                order.append(y)
+    return parent, flow
+
+
+def _start(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> tuple[list[int], list[float]]:
+    """The strongly feasible tree :func:`_simplex` starts from: the
+    least-cost tree on more than two rows or columns, where it is strongly
+    feasible, and the northwest-corner staircase otherwise.  The staircase
+    on at most two rows and two columns keeps :func:`_two_by_two` the
+    simplex it mirrors; on larger tables the least-cost tree, which prices
+    the cells it fills, leaves far fewer pivots."""
+    if max(cost.shape) > 2:
+        tree = _least_cost(a, b, cost)
+        if tree is not None:
+            return tree
+    return _northwest_corner(a, b)
+
+
 def _subtree(top: int, children: list[list[int]]) -> list[int]:
     """Nodes of the subtree under ``top``, breadth first, so each comes
     after its parent."""
@@ -178,19 +260,19 @@ def _subtree(top: int, children: list[list[int]]) -> list[int]:
     return order
 
 
-def _potentials(cost: np.ndarray, parent: list[int], order: list[int]) -> np.ndarray:
-    """Dual potentials from the root down ``order``: ``u`` (with ``u_0 = 0``)
-    on the row nodes and ``-v`` on the column nodes, where
-    ``u_i + v_j = cost_ij`` on every tree cell."""
-    m = cost.shape[0]
-    pot = np.zeros(len(parent))
+def _potentials(cost: list, parent: list[int], order: list[int], pot: np.ndarray) -> None:
+    """Dual potentials from the root down ``order``, written into ``pot``:
+    ``u`` (with ``u_0 = 0``) on the row nodes and ``-v`` on the column
+    nodes, where ``u_i + v_j = cost_ij`` on every tree cell; ``cost`` is
+    given as nested lists."""
+    m = len(cost)
+    pot[0] = 0.0
     for x in order[1:]:
         p = parent[x]
         if x < m:
-            pot[x] = cost[x, p - m] + pot[p]
+            pot[x] = cost[x][p - m] + pot[p]
         else:
-            pot[x] = pot[p] - cost[p, x - m]
-    return pot
+            pot[x] = pot[p] - cost[p][x - m]
 
 
 def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, watch=None):
@@ -201,13 +283,14 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, watch=None):
     column, so it points toward the root), which rules out cycling under
     any entering rule: Cunningham, "A network simplex method", Math.
     Programming 11 (1976); Ahuja, Magnanti and Orlin, *Network Flows*
-    (1993), §11.5.  ``watch``, if given, sees ``(parent, flow)`` after
-    every pivot; without it a table of at most two rows and two columns
-    is solved by :func:`_two_by_two`.  After ``_PIVOT_CAP`` pivots the
-    current tree is returned, with its fresh potentials.
+    (1993), §11.5.  The first tree is :func:`_start`'s.  ``watch``, if
+    given, sees ``(parent, flow)`` after every pivot; without it a table of
+    at most two rows and two columns is solved by :func:`_two_by_two`.
+    After ``_PIVOT_CAP`` pivots the current tree is returned, with its
+    fresh potentials.
 
     ``b`` is first scaled to the total of ``a`` unless the totals are
-    equal bit for bit, so that no mass is left off the staircase.  Returns
+    equal bit for bit, so that no mass is left off the start.  Returns
     the table, the pivot count, the status and the dual ``(u, v, rc)``: the
     optimal potentials, with ``u_i + v_j = cost_ij`` on every tree cell,
     and the least reduced cost of the last exit test on them.
@@ -220,7 +303,7 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, watch=None):
         solved = _two_by_two(a, b, cost)
         if solved is not None:
             return solved
-    parent, flow = _northwest_corner(a, b)
+    parent, flow = _start(a, b, cost)
     children: list[list[int]] = [[] for _ in range(m + n)]
     for x in range(1, m + n):
         children[parent[x]].append(x)
@@ -228,7 +311,9 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, watch=None):
     depth = [0] * (m + n)
     for x in order[1:]:
         depth[x] = depth[parent[x]] + 1
-    pot = _potentials(cost, parent, order)
+    c = cost.tolist()
+    pot = np.empty(m + n)
+    _potentials(c, parent, order, pot)
 
     def cell(x: int) -> tuple[int, int]:
         """The tree cell joining node ``x`` to its parent."""
@@ -237,19 +322,22 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, watch=None):
     basic = np.zeros((m, n), dtype=bool)
     for x in order[1:]:
         basic[cell(x)] = True
+    reduced = np.empty((m, n))
+    u, w = pot[:m, None], pot[None, m:]
     degenerate = False
     fresh = True
     iterations = 0
     while True:
-        reduced = cost - pot[:m, None] + pot[None, m:]
-        reduced[basic] = 0.0
-        enter = int(np.argmin(reduced))
+        np.subtract(cost, u, out=reduced)
+        np.add(reduced, w, out=reduced)
+        np.putmask(reduced, basic, 0.0)
+        enter = int(reduced.argmin())
         rc = float(reduced.flat[enter])
         if rc >= -_RC_TOL or iterations == _PIVOT_CAP:
             if fresh:
                 break
             # rerun the test on potentials free of incremental drift
-            pot = _potentials(cost, parent, _subtree(0, children))
+            _potentials(c, parent, _subtree(0, children), pot)
             fresh = True
             continue
         # Climb from both ends of the entering cell to the apex.  Flow runs
@@ -291,11 +379,17 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, watch=None):
             children[above].append(s)
             parent[s], above = above, s
             flow[s], carried = carried, flow[s]
-        # shift the subtree's potentials so the entering cell prices to zero
-        moved = _subtree(top, children)
+        # shift the subtree's potentials so the entering cell prices to
+        # zero, setting the depths on the way down
+        shift = rc if top < m else -rc
+        depth[top] = depth[parent[top]] + 1
+        moved = [top]
         for x in moved:
-            depth[x] = depth[parent[x]] + 1
-        pot[moved] += rc if top < m else -rc
+            pot[x] += shift
+            below = depth[x] + 1
+            for y in children[x]:
+                depth[y] = below
+                moved.append(y)
         fresh = False
         iterations += 1
         if watch is not None:

@@ -23,7 +23,10 @@ code or a report's shape changed) and whether any ``evaluations`` or
 With ``--time R`` every request runs R times on each tree, and per workload
 the script also prints each tree's median request time (the median over the
 requests of each request's median) and the median over the requests of the
-ratio of the old tree's time to the new one's.  Nothing under
+ratio of the old tree's time to the new one's.  It also prints each tree's
+sum of the request medians and the old/new ratio of those sums: the
+quantity a requests-per-second rate follows, which a gain in the costly
+requests moves while the median ratio may not.  Nothing under
 ``perfbench/`` is written.
 """
 
@@ -196,6 +199,11 @@ def main(argv=None) -> int:
             old_ms, new_ms = (1e3 * statistics.median(t) for t in zip(*pairs))
             ratio = statistics.median(a / b for a, b in pairs)
             print(f"{name}: old {old_ms:.3f}, new {new_ms:.3f}, median old/new ratio {ratio:.3f}")
+            old_sum, new_sum = (1e3 * sum(t) for t in zip(*pairs))
+            print(
+                f"{name}: summed request medians old {old_sum:.1f}, new {new_sum:.1f}, "
+                f"old/new ratio of the sums {old_sum / new_sum:.3f}"
+            )
     return 1 if differ else 0
 
 

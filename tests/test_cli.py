@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensemble_metrics import kantorovich
-from ensemble_metrics.channels import Povm
+from ensemble_metrics import cli, kantorovich
+from ensemble_metrics.channels import Povm, make_measurement, make_povm
 from ensemble_metrics.cli import (
     SEED_ENV,
-    _parse_matrix,
+    _header,
+    _num,
+    _parse_stack,
     _walk_matrix,
     build_parser,
     ensemble_to_json,
@@ -27,7 +29,8 @@ from ensemble_metrics.cli import (
     parse_povm,
     povm_to_json,
 )
-from ensemble_metrics.oracle import random_ensemble
+from ensemble_metrics.ensembles import make_ensemble
+from ensemble_metrics.oracle import random_ensemble, random_measurement, random_unitary
 
 from console_script import run_console_script
 
@@ -264,11 +267,182 @@ def test_whole_matrix_conversion_equals_the_entry_walk():
         cells[0][0] = [-0.0, 2]
         cells[-1][-1] = [10**300, -0.0]
         for node in (cells, json.loads(json.dumps(cells))):
-            fast = _parse_matrix(node, "m", dim)
+            fast = _parse_stack([node], lambda j: f"m[{j}]", dim)[0]
             walked = _walk_matrix(node, "m", dim)
             assert fast.shape == (dim, dim) and fast.dtype == complex
             assert np.array_equal(fast.view(float), walked.view(float))
             assert np.array_equal(np.signbit(fast.view(float)), np.signbit(walked.view(float)))
+
+
+def _matrix_by_matrix(node, path: str, dim: int) -> np.ndarray:
+    """One matrix as the parse took it before lists were stacked: a
+    well-formed one converts in one call, anything else takes the walk."""
+    try:
+        if set(map(type, (x for row in node for cell in row for x in cell))) <= {int, float}:
+            out = np.array(node, dtype=float)
+            if out.shape == (dim, dim, 2) and np.isfinite(out).all():
+                return out.view(complex).reshape(dim, dim)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return _walk_matrix(node, path, dim)
+
+
+def _reference_ensemble(doc, label="ensemble"):
+    dim = _header(doc, label)
+    states = doc.get("states")
+    if not isinstance(states, list) or not states:
+        raise cli.ParseError(f"{label}.states: expected a non-empty list")
+    pairs = []
+    for k, entry in enumerate(states):
+        here = f"{label}.states[{k}]"
+        if not isinstance(entry, dict):
+            raise cli.ParseError(f"{here}: expected an object")
+        prob = _num(entry.get("p"), f"{here}.p")
+        pairs.append((prob, _matrix_by_matrix(entry.get("rho"), f"{here}.rho", dim)))
+    try:
+        return make_ensemble(pairs)
+    except cli.EnsembleMetricsError as exc:
+        raise cli.ParseError(f"{label}.states: {exc}") from exc
+
+
+def _reference_measurement(doc, label="measurement"):
+    dim = _header(doc, label)
+    outcomes = doc.get("outcomes")
+    if not isinstance(outcomes, list) or not outcomes:
+        raise cli.ParseError(f"{label}.outcomes: expected a non-empty list")
+    pairs = []
+    for k, entry in enumerate(outcomes):
+        here = f"{label}.outcomes[{k}]"
+        if not isinstance(entry, dict):
+            raise cli.ParseError(f"{here}: expected an object")
+        weight = _num(entry.get("weight"), f"{here}.weight")
+        kraus = entry.get("kraus")
+        if not isinstance(kraus, list) or not kraus:
+            raise cli.ParseError(f"{here}.kraus: expected a non-empty list")
+        mats = [_matrix_by_matrix(m, f"{here}.kraus[{j}]", dim) for j, m in enumerate(kraus)]
+        pairs.append((weight, mats))
+    return make_measurement(pairs)
+
+
+def _reference_povm(doc, label="povm"):
+    dim = _header(doc, label)
+    elements = doc.get("elements")
+    if not isinstance(elements, list) or not elements:
+        raise cli.ParseError(f"{label}.elements: expected a non-empty list")
+    return make_povm(
+        [_matrix_by_matrix(m, f"{label}.elements[{j}]", dim) for j, m in enumerate(elements)]
+    )
+
+
+def _random_documents(seed: int) -> dict:
+    """Well-formed documents of the three formats, some entries ints and
+    signed zeros, keyed by the parse function's name."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 5))
+    u = random_unitary(d, seed=seed)
+    docs = {
+        "parse_ensemble": ensemble_to_json(random_ensemble(d, int(rng.integers(1, 6)), seed=seed)),
+        "parse_measurement": measurement_to_json(
+            random_measurement(d, int(rng.integers(1, 4)), seed, int(rng.integers(1, 3)))
+        ),
+        "parse_povm": povm_to_json(
+            Povm(np.array([np.outer(u[:, k], u[:, k].conj()) for k in range(d)]))
+        ),
+    }
+    states = docs["parse_ensemble"]["states"]
+    states[0]["rho"][0][0][1] = 0  # an imaginary part on the diagonal
+    states.append({"p": 0 if rng.random() < 0.5 else -0.0, "rho": states[0]["rho"]})
+    zeros = [[[-0.0, 0] for _ in range(d)] for _ in range(d)]
+    docs["parse_measurement"]["outcomes"].append({"weight": 0, "kraus": [zeros]})
+    docs["parse_povm"]["elements"][-1][-1][-1][1] = -0.0
+    return docs
+
+
+REFERENCE = {
+    "parse_ensemble": _reference_ensemble,
+    "parse_measurement": _reference_measurement,
+    "parse_povm": _reference_povm,
+}
+
+
+def _parsed_arrays(obj) -> list[np.ndarray]:
+    if isinstance(obj, Povm):
+        return [obj.elements]
+    if hasattr(obj, "kraus"):
+        return [obj.weights, obj.kraus, obj.owner]
+    return [obj.states, obj.probs, obj.index]
+
+
+def test_stacked_parse_equals_the_matrix_by_matrix_parse():
+    for seed in range(30):
+        for name, doc in _random_documents(seed).items():
+            doc = json.loads(json.dumps(doc))
+            got = _parsed_arrays(getattr(cli, name)(doc, "x"))
+            want = _parsed_arrays(REFERENCE[name](doc, "x"))
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape, (seed, name)
+                assert a.tobytes() == b.tobytes(), (seed, name)
+
+
+# a placeholder leaf, written out as the number 1e400 (which JSON reads as inf)
+HUGE = "<1e400>"
+COMMANDS = {"parse_ensemble": "dist", "parse_measurement": "channel", "parse_povm": "povm"}
+
+
+def _matrices(doc: dict) -> list:
+    if "states" in doc:
+        return [s["rho"] for s in doc["states"]]
+    if "outcomes" in doc:
+        return [m for o in doc["outcomes"] for m in o["kraus"]]
+    return doc["elements"]
+
+
+def _break(doc: dict, mutation: str, rng) -> None:
+    """Apply one malformation to a random place of a well-formed document."""
+    mats = _matrices(doc)
+    mat = mats[int(rng.integers(len(mats)))]
+    r, c = int(rng.integers(len(mat))), int(rng.integers(len(mat)))
+    if mutation in ("bool", "string", "huge"):
+        mat[r][c][int(rng.integers(2))] = {"bool": True, "string": "0.5", "huge": HUGE}[mutation]
+    elif mutation == "short-row":
+        mat[r].pop()
+    elif mutation == "long-row":
+        mat[r].append([0, 0])
+    elif mutation == "no-rho":
+        del doc["states"][int(rng.integers(len(doc["states"])))]["rho"]
+    elif mutation == "not-an-object":
+        key = "states" if "states" in doc else "outcomes" if "outcomes" in doc else "elements"
+        doc[key][int(rng.integers(len(doc[key])))] = 5
+
+
+MUTATIONS = ["bool", "string", "huge", "short-row", "long-row", "no-rho", "not-an-object"]
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_stacked_parse_fails_as_the_matrix_by_matrix_parse(mutation, tmp_path, capsys, monkeypatch):
+    # the same exit code and the same one line, naming the same field
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    rng = np.random.default_rng(MUTATIONS.index(mutation))
+    checked = 0
+    for seed in range(10):
+        for name, doc in _random_documents(seed).items():
+            if mutation == "no-rho" and name != "parse_ensemble":
+                continue
+            other = tmp_path / "other.json"
+            other.write_text(json.dumps(doc))
+            _break(doc, mutation, rng)
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc).replace(json.dumps(HUGE), "1e400"))
+            argv = [COMMANDS[name], str(bad), str(other)]
+            code = main(argv)
+            printed = capsys.readouterr()
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, name, REFERENCE[name])
+                assert main(argv) == code, (seed, name)
+                assert capsys.readouterr() == printed, (seed, name)
+            assert code != 0 and printed.err.count("\n") == 1 and printed.out == ""
+            checked += 1
+    assert checked >= 10
 
 
 def test_dim_mismatch_exits_3(capsys, monkeypatch):

@@ -54,6 +54,16 @@ def test_pure_state_normalizes():
         pure_state(np.zeros(3))
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (1, 2, 2), ()])
+def test_pure_state_rejects_what_is_not_a_vector(shape):
+    # a matrix was flattened: pure_state(np.eye(2)) gave a 4×4 projector
+    with pytest.raises(DimMismatch):
+        pure_state(np.ones(shape))
+    column = pure_state(np.array([[1.0], [1.0j]]))
+    assert np.array_equal(column, pure_state(np.array([[1.0, 1.0j]])))
+    assert np.array_equal(column, pure_state(np.array([1.0, 1.0j])))
+
+
 @pytest.mark.parametrize(
     "vec", [[1e308, 1e308], [1e200, 2e200], [1e-160, 1e-170], [3e-200, 4e-200], [1e-320, 0.0]]
 )

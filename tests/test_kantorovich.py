@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,10 @@ from ensemble_metrics import kantorovich
 from ensemble_metrics.ensembles import make_ensemble, pure_state, unify_support
 from ensemble_metrics.errors import InvalidState, LengthMismatch, OutOfRange
 from ensemble_metrics.kantorovich import (
+    _least_cost,
     _northwest_corner,
     _simplex,
+    _start,
     check_average_continuity,
     coupling_lp,
     flagged_closed_form_distance,
@@ -148,6 +152,39 @@ def test_transportation_lp_zero_mass_rows():
     sol = transportation_lp(p, q, cost, "min")
     assert abs(sol.value - 3.0) <= 1e-12
     assert np.allclose(sol.plan.table[0], 0.0)
+
+
+def test_transportation_lp_rejects_costs_near_the_float_range():
+    # the potentials of this cost overflow: the reduced costs turn NaN and
+    # the simplex ran to its pivot cap with a NaN bracket end
+    p, q = np.array([0.3, 0.3, 0.4]), np.array([0.2, 0.5, 0.3])
+    cost = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="1e\\+300"):
+        transportation_lp(p, q, 1e308 * cost)
+    with pytest.raises(ValueError, match="1e\\+300"):
+        transportation_lp(p, q, -2e300 * cost, "max")
+    rep = transportation_lp(p, q, 1e8 * cost)
+    assert rep.converged and rep.status == "optimal"
+    assert abs(rep.value + 0.8e8) <= 1e-6
+    assert transportation_lp(p, q, 1e300 * cost).converged
+
+
+@pytest.mark.parametrize(
+    "p, q, cost",
+    [
+        (np.array([0.5, 0.5], dtype=complex), [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]]),
+        ([0.5, 0.5], np.array([0.5, 0.5], dtype=complex), [[1.0, 0.0], [0.0, 1.0]]),
+        ([0.5, 0.5], [0.5, 0.5], np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)),
+        # the imaginary part was dropped with only a ComplexWarning
+        ([0.5, 0.5], [0.5, 0.5], [[1 + 1j, 0], [0, 1]]),
+    ],
+    ids=["p", "q", "cost", "cost-list"],
+)
+def test_transportation_lp_rejects_complex_inputs(p, q, cost):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="real"):
+            transportation_lp(p, q, cost)
 
 
 def test_transportation_lp_input_validation():
@@ -387,11 +424,17 @@ def _zero_flow_cells_point_to_root(parent, flow, m):
 def test_basis_stays_strongly_feasible_after_every_pivot(make):
     rng = np.random.default_rng(29)
     pivots = 0
-    for trial in range(60):
+    starts = {"least-cost": 0, "staircase": 0}
+    for trial in range(120):
         m, n = int(rng.integers(2, 12)), int(rng.integers(2, 12))
         p, q, cost = make(rng, m, n)
         cost = cost if trial % 2 else -cost
         assert _zero_flow_cells_point_to_root(*_northwest_corner(p, q), m)
+        # the start _simplex takes, from the columns scaled as it scales them
+        scaled = q if p.sum() == q.sum() else q * (p.sum() / q.sum())
+        assert _zero_flow_cells_point_to_root(*_start(p, scaled, cost), m)
+        if max(m, n) > 2:
+            starts["staircase" if _least_cost(p, scaled, cost) is None else "least-cost"] += 1
         trees = []
         _, iterations, _, _ = _simplex(
             p, q, cost, lambda parent, flow: trees.append(_zero_flow_cells_point_to_root(parent, flow, m))
@@ -399,16 +442,20 @@ def test_basis_stays_strongly_feasible_after_every_pivot(make):
         assert len(trees) == iterations and all(trees)
         pivots += iterations
     assert pivots >= 100
+    # ties of partial masses send some starts back to the staircase
+    assert min(starts.values()) >= 1, starts
 
 
 def test_pivot_count_pins_dantzig_pricing():
-    # d=8, 32 full-rank states a side, disjoint supports.  Dantzig pricing
-    # took 97 pivots for the distance and 115 for the fidelity here, Bland's
-    # rule 994 and 1252; the bounds allow 25% over the measured counts.
+    # d=8, 32 full-rank states a side, disjoint supports.  From the
+    # least-cost start Dantzig pricing took 29 pivots for the distance and
+    # 27 for the fidelity here; from the northwest corner it took 97 and
+    # 115, Bland's rule 994 and 1252.  The bounds allow 25% over the
+    # measured counts.
     a = random_ensemble(8, 32, seed=1)
     b = random_ensemble(8, 32, seed=2)
-    assert coupling_lp(a, b, "distance").iterations <= 121
-    assert coupling_lp(a, b, "fidelity").iterations <= 144
+    assert coupling_lp(a, b, "distance").iterations <= 36
+    assert coupling_lp(a, b, "fidelity").iterations <= 34
 
 
 @pytest.mark.parametrize("make", DEGENERATE, ids=["uniform-0-1-2", "repeated", "shared-states"])
@@ -533,16 +580,31 @@ def test_two_by_two_closed_form_equals_the_simplex_on_its_outputs():
 
 
 def test_pivot_cap_returns_a_vertex_whose_bracket_holds_the_optimum(monkeypatch):
+    # 8×8 tables: from the least-cost start most 4×4 ones take fewer than
+    # two pivots.  They are past the vertex oracle's reach, so the optimum
+    # is the uncapped solve's, checked here to be one: a feasible table
+    # whose value the duals of a feasible dual solution match.
     rng = np.random.default_rng(71)
-    monkeypatch.setattr(kantorovich, "_PIVOT_CAP", 2)
     for sense in ("min", "max"):
         capped = 0
+        sign = 1.0 if sense == "min" else -1.0
         for _ in range(10):
-            p, q = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
-            cost = rng.random((4, 4))
-            rep = transportation_lp(p, q, cost, sense)
+            p, q = rng.dirichlet(np.ones(8)), rng.dirichlet(np.ones(8))
+            cost = rng.random((8, 8))
+            full = transportation_lp(p, q, cost, sense)
+            assert full.converged
+            plan = full.plan
+            assert plan.table.min() >= 0.0
+            assert np.abs(plan.table.sum(axis=1) - p).max() <= 1e-12
+            assert np.abs(plan.table.sum(axis=0) - q).max() <= 1e-12
+            slack = sign * (cost - np.add.outer(plan.row_duals, plan.col_duals))
+            assert slack.min() >= -1e-12
+            assert abs(plan.row_duals @ p + plan.col_duals @ q - full.value) <= 1e-12
+            with monkeypatch.context() as patch:
+                patch.setattr(kantorovich, "_PIVOT_CAP", 2)
+                rep = transportation_lp(p, q, cost, sense)
             lo, hi = rep.bracket
-            assert lo - 1e-12 <= lp_vertex_oracle(p, q, cost, sense) <= hi + 1e-12
+            assert lo - 1e-12 <= full.value <= hi + 1e-12
             assert rep.iterations <= 2
             table = rep.plan.table
             assert table.min() >= 0.0 and np.abs(table.sum(axis=1) - p).max() <= 1e-12
